@@ -186,7 +186,11 @@ class HttpBackend(TranslationBackend):
                     f"environment variable {config.api_key_env!r} is not set"
                 )
 
-    def build_messages(self, prompt: PromptSpec) -> list[dict[str, str]]:
+    def build_messages(
+        self, prompt: PromptSpec, rendered: str | None = None
+    ) -> list[dict[str, str]]:
+        """`rendered`, when given, is the full prompt text already rendered
+        with the system block, reused for a single user message."""
         if self.config.supports_system_role and prompt.system_text:
             return [
                 {"role": "system", "content": prompt.system_text},
@@ -195,23 +199,27 @@ class HttpBackend(TranslationBackend):
                     "content": render(prompt, self.config.template, include_system=False),
                 },
             ]
-        return [{"role": "user", "content": render(prompt, self.config.template)}]
+        if rendered is None:
+            rendered = render(prompt, self.config.template)
+        return [{"role": "user", "content": rendered}]
 
-    def build_body(self, prompt: PromptSpec) -> dict:
+    def build_body(self, prompt: PromptSpec, rendered: str | None = None) -> dict:
         return {
             "model": self.config.model,
-            "messages": self.build_messages(prompt),
+            "messages": self.build_messages(prompt, rendered),
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
 
     def translate(self, prompt: PromptSpec) -> str:
-        rendered = render(prompt, self.config.template)
+        rendered = None
         limit = self.config.max_prompt_chars
-        if limit is not None and len(rendered) > limit:
-            raise BackendError(
-                "overlong_prompt", f"prompt is {len(rendered)} chars, limit {limit}"
-            )
+        if limit is not None:
+            rendered = render(prompt, self.config.template)
+            if len(rendered) > limit:
+                raise BackendError(
+                    "overlong_prompt", f"prompt is {len(rendered)} chars, limit {limit}"
+                )
         if self._limiter is not None:
             self._limiter.wait()
         headers = {}
@@ -221,7 +229,7 @@ class HttpBackend(TranslationBackend):
         try:
             resp = self._session.post(
                 url,
-                json=self.build_body(prompt),
+                json=self.build_body(prompt, rendered),
                 headers=headers,
                 timeout=self.config.timeout,
             )

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import backend as backend_mod
@@ -63,10 +63,6 @@ def _build_backend(config: RunConfig) -> backend_mod.TranslationBackend:
     if b.kind == "scripted":
         return backend_mod.ScriptedBackend.from_file(config.resolve(b.script_file))
     if b.kind == "http":
-        if b.api_key_env and not os.environ.get(b.api_key_env):
-            raise ConfigError(
-                f"backend.api_key_env: environment variable {b.api_key_env!r} is not set"
-            )
         return backend_mod.HttpBackend(
             backend_mod.HttpBackendConfig(
                 base_url=b.base_url,
@@ -79,16 +75,15 @@ def _build_backend(config: RunConfig) -> backend_mod.TranslationBackend:
                 rate_limit_rps=b.rate_limit_rps,
                 supports_system_role=b.supports_system_role,
                 max_prompt_chars=b.max_prompt_chars,
-                template=config.prompt_template(),
+                template=config.decoding_config.template,
             )
         )
     raise ConfigError(f"unknown backend kind {b.kind!r}")
 
 
 def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    return config.output_dir
 
 
 def _build_exemplar_index(config: RunConfig):
@@ -134,7 +129,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
             pairs = [p for d in corpus.documents for p in d.pairs()]
             index = build_index(pool_from_pairs(pairs), config.retrieval.keyword_count)
         records = stages_mod.build_stage3_instructions(
-            corpus, config.decoding_config(), index
+            corpus, config.decoding_config, index
         )
         path = out / "stage3_instructions.jsonl"
         stages_mod.write_instruction_records(records, path)
@@ -158,7 +153,6 @@ def cmd_translate(
     backend_override: backend_mod.TranslationBackend | None = None,
 ) -> int:
     corpus = _load_corpus(config, use_test=True)
-    decoding = config.decoding_config()
     if dry_run:
         # never touches the configured backend; an internal echo stands in
         # so the incremental loop can still advance
@@ -171,7 +165,7 @@ def cmd_translate(
         corpus,
         backend,
         index=index,
-        config=decoding,
+        config=config.decoding_config,
         parallelism=config.decoding.parallelism,
     )
     if dry_run:
@@ -238,10 +232,9 @@ def cmd_evaluate(hyp_path: str, ref_path: str, config: RunConfig) -> int:
         for d in ref_corpus.documents
         for p in d.pairs()
     }
-    bleu_config = config.bleu_config()
     try:
-        sentence = metrics_mod.s_bleu(hypotheses, references, bleu_config)
-        document = metrics_mod.d_bleu(hypotheses, references, bleu_config)
+        sentence = metrics_mod.s_bleu(hypotheses, references, config.metrics)
+        document = metrics_mod.d_bleu(hypotheses, references, config.metrics)
     except metrics_mod.AlignmentError as exc:
         print(f"alignment error: {exc}", file=sys.stderr)
         return EXIT_ALIGNMENT
@@ -260,12 +253,7 @@ def cmd_evaluate(hyp_path: str, ref_path: str, config: RunConfig) -> int:
             "hyp_length": report.hyp_length,
             "ref_length": report.ref_length,
             "segmentation": report.segmentation,
-            "config": {
-                "max_order": bleu_config.max_order,
-                "smoothing": bleu_config.smoothing,
-                "tokenization": bleu_config.tokenization,
-                "lowercase": bleu_config.lowercase,
-            },
+            "config": asdict(config.metrics),
         }
         (out / f"{name}.json").write_text(
             json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"

@@ -2,8 +2,9 @@
 
 Precedence is CLI --set overrides > config file > defaults. Referenced
 paths are checked eagerly at load time so a bad run dies before producing
-partial outputs. Everything here is deliberately plain data; modules take
-their own config objects.
+partial outputs. The domain configs (DecodingConfig, BleuConfig) are built
+here, once per load, and validate their own ranges; every command takes
+them from the loaded RunConfig.
 """
 
 from __future__ import annotations
@@ -81,70 +82,21 @@ class BackendSettings:
 
 
 @dataclass
-class MetricsSettings:
-    max_order: int = 4
-    smoothing: str = "exp-floor"
-    tokenization: str = "intl-13a"
-    lowercase: bool = False
-
-
-@dataclass
 class RunConfig:
     corpus: CorpusPaths = field(default_factory=CorpusPaths)
     stages: StageSettings = field(default_factory=StageSettings)
     retrieval: RetrievalSettings = field(default_factory=RetrievalSettings)
     decoding: DecodingSettings = field(default_factory=DecodingSettings)
     backend: BackendSettings = field(default_factory=BackendSettings)
-    metrics: MetricsSettings = field(default_factory=MetricsSettings)
-    output_dir: str = "out"
+    metrics: BleuConfig = field(default_factory=BleuConfig)
+    output_dir: Path = Path("out")
     base_dir: Path = field(default_factory=Path)
+    decoding_config: DecodingConfig = field(default_factory=DecodingConfig)
 
     def resolve(self, path_value: str) -> Path:
         """Paths in the config are relative to the config file."""
         p = Path(path_value)
         return p if p.is_absolute() else self.base_dir / p
-
-    def prompt_template(self) -> PromptTemplate:
-        parts: dict[str, str] = {}
-        for part, path_value in self.decoding.templates.items():
-            text = self.resolve(path_value).read_text(encoding="utf-8")
-            if text.endswith("\n"):
-                text = text[:-1]
-            parts[part] = text
-        if self.decoding.system_text is not None:
-            parts["system"] = self.decoding.system_text
-        try:
-            return PromptTemplate(**parts)
-        except TypeError as exc:
-            raise ConfigError(f"unknown template part: {exc}") from exc
-        except TemplateError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def decoding_config(self) -> DecodingConfig:
-        try:
-            return DecodingConfig(
-                history_size=self.decoding.history_size,
-                exemplar_count=self.decoding.exemplar_count,
-                similarity_alpha=self.retrieval.similarity_alpha,
-                template=self.prompt_template(),
-                max_attempts=self.decoding.retry,
-                fallback=self.decoding.fallback,
-                backoff_initial=self.decoding.backoff_initial,
-                backoff_factor=self.decoding.backoff_factor,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def bleu_config(self) -> BleuConfig:
-        try:
-            return BleuConfig(
-                max_order=self.metrics.max_order,
-                smoothing=self.metrics.smoothing,
-                tokenization=self.metrics.tokenization,
-                lowercase=self.metrics.lowercase,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 _SECTIONS = {
@@ -153,7 +105,7 @@ _SECTIONS = {
     "retrieval": RetrievalSettings,
     "decoding": DecodingSettings,
     "backend": BackendSettings,
-    "metrics": MetricsSettings,
+    "metrics": BleuConfig,
 }
 
 
@@ -179,7 +131,7 @@ def _build_section(cls, data: Any, section: str):
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {section!r}")
     try:
         return cls(**data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"section {section!r}: {exc}") from exc
 
 
@@ -210,14 +162,52 @@ def load_config(
 
     config = RunConfig(
         **{name: _build_section(cls, data.get(name), name) for name, cls in _SECTIONS.items()},
-        output_dir=str(data.get("output_dir", "out")),
         base_dir=path.parent,
     )
-    if output_dir is not None:
-        config.output_dir = output_dir
+    config.output_dir = (
+        Path(output_dir)
+        if output_dir is not None
+        else config.resolve(str(data.get("output_dir", "out")))
+    )
     _check_paths(config)
     _check_ranges(config)
+    config.decoding_config = _decoding_config(config)
     return config
+
+
+def _prompt_template(config: RunConfig) -> PromptTemplate:
+    parts: dict[str, str] = {}
+    for part, path_value in config.decoding.templates.items():
+        text = config.resolve(path_value).read_text(encoding="utf-8")
+        if text.endswith("\n"):
+            text = text[:-1]
+        parts[part] = text
+    if config.decoding.system_text is not None:
+        parts["system"] = config.decoding.system_text
+    try:
+        return PromptTemplate(**parts)
+    except TypeError as exc:
+        raise ConfigError(f"unknown template part: {exc}") from exc
+    except TemplateError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _decoding_config(config: RunConfig) -> DecodingConfig:
+    d, r = config.decoding, config.retrieval
+    try:
+        return DecodingConfig(
+            history_size=d.history_size,
+            exemplar_count=d.exemplar_count,
+            similarity_alpha=r.similarity_alpha,
+            keyword_count=r.keyword_count,
+            template=_prompt_template(config),
+            max_attempts=d.retry,
+            fallback=d.fallback,
+            backoff_initial=d.backoff_initial,
+            backoff_factor=d.backoff_factor,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_paths(config: RunConfig) -> None:
@@ -243,15 +233,7 @@ def _check_ranges(config: RunConfig) -> None:
         raise ConfigError("stage budgets must be >= 1")
     if s.stage1_side not in ("source", "target"):
         raise ConfigError("stages.stage1_side must be 'source' or 'target'")
-    r = config.retrieval
-    if not 0.0 <= r.similarity_alpha <= 1.0:
-        raise ConfigError("retrieval.similarity_alpha must be in [0, 1]")
-    if r.keyword_count < 1:
-        raise ConfigError("retrieval.keyword_count must be >= 1")
-    d = config.decoding
-    if min(d.history_size, d.exemplar_count, d.retry) < 0:
-        raise ConfigError("decoding history_size/exemplar_count/retry must be >= 0")
-    if d.parallelism < 1:
+    if config.decoding.parallelism < 1:
         raise ConfigError("decoding.parallelism must be >= 1")
     if config.backend.kind not in ("identity", "table", "scripted", "http"):
         raise ConfigError(f"unknown backend kind {config.backend.kind!r}")

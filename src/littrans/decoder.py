@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
-from typing import Callable
+from typing import Callable, Sequence
 
 from .backend import BackendError, TranslationBackend
 from .corpus import Corpus, Document
@@ -31,7 +31,14 @@ from .prompts import (
     prompt_hash,
     render,
 )
-from .retrieval import DocumentOverlay, ExcludeFn, ExemplarIndex, top_k
+from .retrieval import (
+    DEFAULT_KEYWORD_COUNT,
+    DocumentOverlay,
+    ExcludeFn,
+    Exemplar,
+    ExemplarIndex,
+    top_k,
+)
 
 FALLBACK_COPY_SOURCE = "copy_source"
 FALLBACK_ABORT = "abort"
@@ -47,9 +54,17 @@ class DocumentAborted(Exception):
 
 @dataclass(frozen=True)
 class DecodingConfig:
+    """Everything that shapes a prompt or a decoding step.
+
+    The config loader builds it from the decoding: and retrieval: sections,
+    so range errors name those keys; this is the only place they are
+    checked.
+    """
+
     history_size: int = 3
     exemplar_count: int = 2
     similarity_alpha: float = 0.5
+    keyword_count: int = DEFAULT_KEYWORD_COUNT
     template: PromptTemplate = field(default_factory=PromptTemplate)
     max_attempts: int = 3
     fallback: str = FALLBACK_COPY_SOURCE
@@ -57,19 +72,18 @@ class DecodingConfig:
     backoff_factor: float = 2.0
 
     def __post_init__(self):
-        if self.history_size < 0 or self.exemplar_count < 0 or self.max_attempts < 0:
-            raise ValueError("history_size, exemplar_count, max_attempts must be >= 0")
+        if self.history_size < 0 or self.exemplar_count < 0:
+            raise ValueError("decoding history_size/exemplar_count must be >= 0")
+        if self.max_attempts < 1:
+            raise ValueError(
+                "decoding.retry must be >= 1: every sentence needs one backend attempt"
+            )
         if not 0.0 <= self.similarity_alpha <= 1.0:
-            raise ValueError("similarity_alpha must be in [0, 1]")
+            raise ValueError("retrieval.similarity_alpha must be in [0, 1]")
+        if self.keyword_count < 1:
+            raise ValueError("retrieval.keyword_count must be >= 1")
         if self.fallback not in (FALLBACK_COPY_SOURCE, FALLBACK_ABORT):
             raise ValueError(f"unknown fallback policy {self.fallback!r}")
-
-
-@dataclass
-class DecodingState:
-    doc_id: str
-    history: list[ContextEntry] = field(default_factory=list)
-    cursor: int = 0
 
 
 @dataclass(frozen=True)
@@ -107,23 +121,32 @@ def clean_hypothesis(text: str) -> str:
 
 
 def build_prompt(
-    state: DecodingState,
+    doc_id: str,
+    done: Sequence[ContextEntry],
     source: str,
-    exemplars: list[ExemplarEntry] | tuple[ExemplarEntry, ...],
+    hits: Sequence[Exemplar],
     config: DecodingConfig,
 ) -> PromptSpec:
-    """Assemble the prompt for the sentence at state.cursor."""
-    for e in exemplars:
-        if e.doc_id == state.doc_id and e.seg_index >= state.cursor:
+    """The prompt for the sentence after `done` in document `doc_id`.
+
+    The single prompt assembler: the decoder passes the model's own
+    hypotheses as `done`, stage 3 the reference targets. The context block
+    is the last min(history_size, len(done)) entries; every hit must lie
+    strictly before the current sentence when it comes from this document.
+    """
+    cursor = len(done)
+    for e in hits:
+        if e.doc_id == doc_id and e.seg_index >= cursor:
             raise ValueError(
-                f"exemplar {e.exemplar_id} is not strictly before {state.doc_id}#{state.cursor}"
+                f"exemplar {e.exemplar_id} is not strictly before {doc_id}#{cursor}"
             )
-    n = config.history_size
-    context = tuple(state.history[len(state.history) - min(n, state.cursor):]) if n else ()
     return PromptSpec(
         system_text=config.template.system,
-        context_block=context,
-        exemplar_block=tuple(exemplars),
+        context_block=tuple(done[cursor - min(config.history_size, cursor):]),
+        exemplar_block=tuple(
+            ExemplarEntry(e.exemplar_id, e.doc_id, e.seg_index, e.source, e.target)
+            for e in hits
+        ),
         current_source=source,
     )
 
@@ -171,16 +194,18 @@ def translate_document(
     source verbatim and marks the trace failed, abort raises
     DocumentAborted.
     """
-    state = DecodingState(doc_id=doc.doc_id)
     overlay = (
-        DocumentOverlay() if index is None and config.exemplar_count > 0 else None
+        DocumentOverlay(config.keyword_count)
+        if index is None and config.exemplar_count > 0
+        else None
     )
+    history: list[ContextEntry] = []
     sources: list[str] = []
     hypotheses: list[str] = []
     traces: list[SentenceTrace] = []
 
     for pair in doc.pairs():
-        exemplars: list[ExemplarEntry] = []
+        hits = []
         if config.exemplar_count > 0:
             pool = index if index is not None else overlay.index
             hits = top_k(
@@ -190,11 +215,7 @@ def translate_document(
                 exclude=exclude_at_or_after(doc.doc_id, pair.seg_index),
                 alpha=config.similarity_alpha,
             )
-            exemplars = [
-                ExemplarEntry(e.exemplar_id, e.doc_id, e.seg_index, e.source, e.target)
-                for e in hits
-            ]
-        spec = build_prompt(state, pair.source, exemplars, config)
+        spec = build_prompt(doc.doc_id, history, pair.source, hits, config)
         hyp, attempts = _attempt_translation(backend, spec, config, sleep)
         failed = hyp is None
         if failed:
@@ -211,11 +232,10 @@ def translate_document(
                 prompt_sha256=prompt_hash(spec, config.template),
                 attempts=tuple(attempts),
                 failed=failed,
-                exemplar_ids=tuple(e.exemplar_id for e in exemplars),
+                exemplar_ids=tuple(e.exemplar_id for e in spec.exemplar_block),
             )
         )
-        state.history.append(ContextEntry(pair.seg_index, pair.source, hyp))
-        state.cursor += 1
+        history.append(ContextEntry(pair.seg_index, pair.source, hyp))
         if overlay is not None:
             overlay.append(pair.source, hyp, doc.doc_id, pair.seg_index)
 

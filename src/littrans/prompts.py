@@ -1,8 +1,9 @@
 """Prompt templates and rendering.
 
-One renderer serves both the decoder (inference prompts) and the stage-3
-instruction builder (training prompts), so train and test prompts can
-never drift apart.
+One assembler, decoder.build_prompt, builds every PromptSpec, and one
+renderer turns it into text, for both the decoder (inference prompts) and
+the stage-3 instruction builder (training prompts), so train and test
+prompts can never drift apart.
 
 Template placeholders: the main template takes {system}, {context},
 {exemplars}, {source}; entry sub-templates take {src} and {tgt}; section

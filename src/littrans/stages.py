@@ -3,8 +3,10 @@
 Stage 1 packs chapter sentences into paragraph units under a token budget
 (monolingual pre-training data). Stage 2 packs aligned sentence pairs into
 interlinear documents (bilingual pre-training data). Stage 3 renders
-context- and exemplar-augmented instruction records with the same renderer
-the decoder uses at inference time. A plain sentence-level instruction
+context- and exemplar-augmented instruction records whose prompts come from
+the decoder's own assembler, decoder.build_prompt, and the shared renderer,
+so a training prompt is the inference prompt with reference targets in the
+place of hypotheses. A plain sentence-level instruction
 builder covers the non-contextual baseline.
 
 No training happens here; everything is emitted as data files.
@@ -18,15 +20,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .corpus import Corpus, Document
-from .decoder import DecodingConfig, exclude_at_or_after
-from .prompts import (
-    ContextEntry,
-    ExemplarEntry,
-    PromptSpec,
-    TemplateError,
-    placeholders,
-    render,
-)
+from .decoder import DecodingConfig, build_prompt, exclude_at_or_after
+from .prompts import ContextEntry, TemplateError, placeholders, render
 from .retrieval import ExemplarIndex, top_k
 from .tokenization import cjk_ratio, count_tokens
 
@@ -264,24 +259,20 @@ def build_stage3_instructions(
     The context block holds the previous history-size pairs (source plus
     reference target, teacher forcing); exemplars come from the index with
     the current pair and everything after it in the same document excluded.
-    The instruction is the decoder's rendered prompt, so training and
-    inference see identical text.
+    The prompt is assembled by decoder.build_prompt with the reference
+    targets as the finished pairs, so training and inference see identical
+    text.
     """
     _require_parallel(corpus, "stage 3")
     cfg = decoding_config
     records = []
     for doc in corpus.documents:
-        pairs = list(doc.pairs())
-        for pair in pairs:
+        done: list[ContextEntry] = []
+        for pair in doc.pairs():
             assert pair.target is not None
             if not pair.target.strip():
                 raise ValueError(f"{doc.doc_id}#{pair.seg_index}: empty target")
-            start = max(0, pair.seg_index - cfg.history_size)
-            context = tuple(
-                ContextEntry(p.seg_index, p.source, p.target)
-                for p in pairs[start:pair.seg_index]
-            )
-            exemplars: tuple[ExemplarEntry, ...] = ()
+            hits = []
             if cfg.exemplar_count > 0:
                 hits = top_k(
                     pair.source,
@@ -290,16 +281,7 @@ def build_stage3_instructions(
                     exclude=exclude_at_or_after(doc.doc_id, pair.seg_index),
                     alpha=cfg.similarity_alpha,
                 )
-                exemplars = tuple(
-                    ExemplarEntry(e.exemplar_id, e.doc_id, e.seg_index, e.source, e.target)
-                    for e in hits
-                )
-            spec = PromptSpec(
-                system_text=cfg.template.system,
-                context_block=context,
-                exemplar_block=exemplars,
-                current_source=pair.source,
-            )
+            spec = build_prompt(doc.doc_id, done, pair.source, hits, cfg)
             records.append(
                 InstructionRecord(
                     instruction=render(spec, cfg.template),
@@ -307,6 +289,7 @@ def build_stage3_instructions(
                     output=pair.target,
                 )
             )
+            done.append(ContextEntry(pair.seg_index, pair.source, pair.target))
     return records
 
 

@@ -54,7 +54,7 @@ def test_config_bad_range_rejected(toy_config_path):
 
 
 def test_config_template_file_loaded(toy_config_path):
-    template = load_config(toy_config_path).prompt_template()
+    template = load_config(toy_config_path).decoding_config.template
     assert template.main.endswith("English translation:")
 
 
@@ -189,6 +189,18 @@ def test_translate_abort_exit_code(toy_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("fallback", ["copy_source", "abort"])
+def test_translate_zero_retry_is_config_error(toy_config_path, tmp_path, fallback, capsys):
+    code = run([
+        "translate", "--config", toy_config_path, "--out", str(tmp_path),
+        "--set", "decoding.retry=0", "--set", f"decoding.fallback={fallback}",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "decoding.retry" in err and "Traceback" not in err
+    assert not (tmp_path / "hypotheses.jsonl").exists()
+
+
 # --- evaluate ---
 
 @pytest.fixture()
@@ -245,6 +257,30 @@ def test_evaluate_alignment_gap_exit_code(toy_config_path, toy_dir, translated, 
     assert code == 3
     err = capsys.readouterr().err
     assert "tower" in err and "1" in err
+
+
+def test_config_output_dir_is_relative_to_config_file(toy_dir, tmp_path, monkeypatch):
+    config_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"
+    config_dir.mkdir()
+    elsewhere.mkdir()
+    config = config_dir / "c.yaml"
+    config.write_text("output_dir: out\n", encoding="utf-8")
+    refs = toy_dir / "corpus.jsonl"
+    hyps = tmp_path / "hyps.jsonl"
+    hyps.write_text(
+        "".join(
+            json.dumps({**r, "hypothesis": r["target"]}, ensure_ascii=False) + "\n"
+            for r in map(json.loads, read_lines(refs).splitlines())
+        ),
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(elsewhere)
+    assert run(["evaluate", str(hyps), str(refs), "--config", str(config)]) == 0
+    assert (config_dir / "out" / "eval_sentence.json").exists()
+    assert not (elsewhere / "out").exists()
+    # --out is a command-line path and follows the working directory
+    assert run(["evaluate", str(hyps), str(refs), "--config", str(config), "--out", "cli"]) == 0
+    assert (elsewhere / "cli" / "eval_document.json").exists()
 
 
 # --- validate ---

@@ -5,7 +5,6 @@ import pytest
 from littrans.backend import BackendError, IdentityBackend, ScriptedBackend, TableBackend
 from littrans.decoder import (
     DecodingConfig,
-    DecodingState,
     DocumentAborted,
     build_prompt,
     clean_hypothesis,
@@ -13,7 +12,8 @@ from littrans.decoder import (
     translate_document,
 )
 from littrans.prompts import ContextEntry, ExemplarEntry, PromptTemplate, render
-from util import CapturingBackend, make_corpus, make_document
+from littrans.retrieval import Exemplar, build_index
+from util import CapturingBackend, brute_force_top_k, make_corpus, make_document
 
 
 def no_sleep(_delay):
@@ -34,42 +34,47 @@ def test_config_validation():
         DecodingConfig(similarity_alpha=1.5)
     with pytest.raises(ValueError):
         DecodingConfig(fallback="shrug")
+    with pytest.raises(ValueError, match="decoding.retry"):
+        DecodingConfig(max_attempts=0)
+    with pytest.raises(ValueError, match="keyword_count"):
+        DecodingConfig(keyword_count=0)
 
 
 # --- build_prompt ---
 
-def state_at(cursor, doc_id="d"):
-    history = [ContextEntry(i, f"src{i}", f"hyp{i}") for i in range(cursor)]
-    return DecodingState(doc_id=doc_id, history=history, cursor=cursor)
+def done_until(cursor):
+    return [ContextEntry(i, f"src{i}", f"hyp{i}") for i in range(cursor)]
 
 
 def test_prompt_cursor_zero_empty_context():
-    spec = build_prompt(state_at(0), "s", [], fast(history_size=5))
+    spec = build_prompt("d", done_until(0), "s", [], fast(history_size=5))
     assert spec.context_block == ()
 
 
 def test_prompt_window_last_two():
-    spec = build_prompt(state_at(5), "s", [], fast(history_size=2))
+    spec = build_prompt("d", done_until(5), "s", [], fast(history_size=2))
     assert [e.seg_index for e in spec.context_block] == [3, 4]
 
 
 def test_prompt_window_min_rule():
-    spec = build_prompt(state_at(2), "s", [], fast(history_size=3))
+    spec = build_prompt("d", done_until(2), "s", [], fast(history_size=3))
     assert [e.seg_index for e in spec.context_block] == [0, 1]
 
 
 def test_prompt_window_n_zero():
-    spec = build_prompt(state_at(4), "s", [], fast(history_size=0))
+    spec = build_prompt("d", done_until(4), "s", [], fast(history_size=0))
     assert spec.context_block == ()
 
 
+def hit(doc_id, seg_index):
+    return Exemplar(f"{doc_id}:{seg_index}", doc_id, seg_index, "s", "t", frozenset(), {})
+
+
 def test_prompt_rejects_future_exemplar():
-    future = ExemplarEntry("d:2", "d", 2, "s", "t")
     with pytest.raises(ValueError, match="strictly before"):
-        build_prompt(state_at(2), "s", [future], fast())
-    other_doc = ExemplarEntry("e:9", "e", 9, "s", "t")
-    spec = build_prompt(state_at(2), "s", [other_doc], fast())
-    assert spec.exemplar_block == (other_doc,)
+        build_prompt("d", done_until(2), "s", [hit("d", 2)], fast())
+    spec = build_prompt("d", done_until(2), "s", [hit("e", 9)], fast())
+    assert spec.exemplar_block == (ExemplarEntry("e:9", "e", 9, "s", "t"),)
 
 
 # --- hypothesis cleanup ---
@@ -237,6 +242,30 @@ def test_self_history_exemplars_use_hypotheses_not_references():
         e.source == "stone river stone" for e in capture.specs[2].exemplar_block
     )
     assert all(t.exemplar_ids for t in result.traces[1:])
+
+
+def test_self_history_exemplars_honour_keyword_count():
+    # keyword counts 1 and 5 rank the prefix differently for the last sentence
+    sentences = [
+        "stone river bright moon",
+        "river moon night wind",
+        "stone bright cold",
+        "moon river stone wind cold",
+        "night cold bright river",
+    ]
+    doc = make_document("d", sentences)
+    ids = {}
+    for kc in (1, 5):
+        config = fast(history_size=0, exemplar_count=1, keyword_count=kc)
+        result = translate_document(doc, IdentityBackend(), config=config, sleep=no_sleep)
+        ids[kc] = [t.exemplar_ids for t in result.traces]
+        for seg, source in enumerate(sentences):
+            prefix = build_index(
+                [(s, s, "d", i) for i, s in enumerate(sentences[:seg])], keyword_count=kc
+            )
+            expected = brute_force_top_k(source, prefix, 1)
+            assert ids[kc][seg] == tuple(e.exemplar_id for e in expected)
+    assert ids[1] != ids[5]
 
 
 def test_reduction_prompts_equal_plain_sentence_prompts():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littrans.decoder import DecodingConfig
+from littrans.backend import TableBackend
+from littrans.decoder import DecodingConfig, translate_document
 from littrans.prompts import PromptTemplate, TemplateError
 from littrans.retrieval import build_index, pool_from_pairs
 from littrans.stages import (
@@ -20,7 +21,7 @@ from littrans.stages import (
     write_interlinear_file,
 )
 from littrans.tokenization import count_tokens
-from util import make_corpus, make_document
+from util import CapturingBackend, make_corpus, make_document
 
 
 def word_counter(text):
@@ -352,3 +353,22 @@ def test_stage3_context_block_only_when_preceded():
     assert header not in records[0].instruction
     assert header in records[1].instruction
     assert header in records[2].instruction
+
+
+def test_stage3_instruction_is_the_decoder_prompt():
+    # train/inference identity: decoding teacher-forced on the references
+    # over the same external index renders exactly the stage-3 instructions
+    corpus = make_corpus([
+        make_document("a", [("山高", "tall"), ("水长", "long"), ("山高 水长", "both")]),
+        make_document("b", [("水长 山", "long hill"), ("高山 流水", "high water"), ("山高 流水", "tall water")]),
+    ])
+    pairs = [p for d in corpus.documents for p in d.pairs()]
+    index = build_index(pool_from_pairs(pairs))
+    config = stage3_config(n=1, k=2)
+    records = build_stage3_instructions(corpus, config, index)
+    capture = CapturingBackend(TableBackend({p.source: p.target for p in pairs}), config.template)
+    for doc in corpus.documents:
+        translate_document(doc, capture, index=index, config=config)
+    assert capture.rendered == [r.instruction for r in records]
+    assert any(s.context_block for s in capture.specs)
+    assert any(s.exemplar_block for s in capture.specs)
