@@ -145,7 +145,7 @@ class _RateLimiter:
 @dataclass
 class HttpBackendConfig:
     base_url: str
-    model: str
+    model: str = ""
     path: str = "/v1/chat/completions"
     api_key_env: str | None = None
     temperature: float = 0.0

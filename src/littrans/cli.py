@@ -55,30 +55,14 @@ def _load_corpus(config: RunConfig, use_test: bool = False) -> corpus_mod.Corpus
 
 
 def _build_backend(config: RunConfig) -> backend_mod.TranslationBackend:
-    b = config.backend
-    if b.kind == "identity":
+    kind = config.loader.kind
+    if kind == "identity":
         return backend_mod.IdentityBackend()
-    if b.kind == "table":
-        return backend_mod.TableBackend(b.table)
-    if b.kind == "scripted":
-        return backend_mod.ScriptedBackend.from_file(config.resolve(b.script_file))
-    if b.kind == "http":
-        return backend_mod.HttpBackend(
-            backend_mod.HttpBackendConfig(
-                base_url=b.base_url,
-                model=b.model,
-                path=b.path,
-                api_key_env=b.api_key_env,
-                temperature=b.temperature,
-                max_tokens=b.max_tokens,
-                timeout=b.timeout,
-                rate_limit_rps=b.rate_limit_rps,
-                supports_system_role=b.supports_system_role,
-                max_prompt_chars=b.max_prompt_chars,
-                template=config.decoding_config.template,
-            )
-        )
-    raise ConfigError(f"unknown backend kind {b.kind!r}")
+    if kind == "table":
+        return backend_mod.TableBackend(config.loader.table)
+    if kind == "scripted":
+        return backend_mod.ScriptedBackend.from_file(config.resolve(config.loader.script_file))
+    return backend_mod.HttpBackend(config.http)
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -87,13 +71,13 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def _build_exemplar_index(config: RunConfig):
-    if config.retrieval.external_pool is None:
+    if config.loader.external_pool is None:
         return None
-    pool_corpus = corpus_mod.load_records(config.resolve(config.retrieval.external_pool))
+    pool_corpus = corpus_mod.load_records(config.resolve(config.loader.external_pool))
     if not pool_corpus.is_parallel:
         raise ConfigError("retrieval.external_pool must be a parallel record file")
     pairs = [p for d in pool_corpus.documents for p in d.pairs()]
-    return build_index(pool_from_pairs(pairs), config.retrieval.keyword_count)
+    return build_index(pool_from_pairs(pairs), config.decoding.keyword_count)
 
 
 def cmd_prepare(stage: str, config: RunConfig) -> int:
@@ -127,10 +111,8 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
         index = _build_exemplar_index(config)
         if index is None:
             pairs = [p for d in corpus.documents for p in d.pairs()]
-            index = build_index(pool_from_pairs(pairs), config.retrieval.keyword_count)
-        records = stages_mod.build_stage3_instructions(
-            corpus, config.decoding_config, index
-        )
+            index = build_index(pool_from_pairs(pairs), config.decoding.keyword_count)
+        records = stages_mod.build_stage3_instructions(corpus, config.decoding, index)
         path = out / "stage3_instructions.jsonl"
         stages_mod.write_instruction_records(records, path)
         print(f"stage 3: {len(records)} instruction records -> {path}")
@@ -165,8 +147,8 @@ def cmd_translate(
         corpus,
         backend,
         index=index,
-        config=config.decoding_config,
-        parallelism=config.decoding.parallelism,
+        config=config.decoding,
+        parallelism=config.loader.parallelism,
     )
     if dry_run:
         prompts = sum(len(r.traces) for r in results)

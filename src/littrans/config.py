@@ -2,19 +2,26 @@
 
 Precedence is CLI --set overrides > config file > defaults. Referenced
 paths are checked eagerly at load time so a bad run dies before producing
-partial outputs. The domain configs (DecodingConfig, BleuConfig) are built
-here, once per load, and validate their own ranges; every command takes
-them from the loaded RunConfig.
+partial outputs. Each key is one field of the dataclass that consumes it,
+whose annotation (checked before any constructor runs) and default are the
+key's only type and default: `corpus:` CorpusPaths, `stages:`
+StageSettings, `decoding:` and `retrieval:` DecodingConfig (`retry` is
+`max_attempts`), `backend:` HttpBackendConfig (for `kind: http`),
+`metrics:` BleuConfig; keys only the loader or the CLI reads: LoaderSettings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import types
+import typing
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal
 
 import yaml
 
+from .backend import HttpBackendConfig
 from .decoder import DecodingConfig
 from .metrics import BleuConfig
 from .prompts import PromptTemplate, TemplateError
@@ -38,45 +45,21 @@ class CorpusPaths:
 @dataclass
 class StageSettings:
     stage1_budget: int = 1024
-    stage1_side: str = "source"
+    stage1_side: Literal["source", "target"] = "source"
     stage1_joiner: str | None = None
     stage2_budget: int = 1024
     sentence_instruction: str | None = None
 
 
 @dataclass
-class RetrievalSettings:
-    similarity_alpha: float = 0.5
-    keyword_count: int = 5
-    external_pool: str | None = None
+class LoaderSettings:
+    """Keys read only by the loader (prompt template) or the CLI."""
 
-
-@dataclass
-class DecodingSettings:
-    history_size: int = 3
-    exemplar_count: int = 2
-    retry: int = 3
-    fallback: str = "copy_source"
-    backoff_initial: float = 1.0
-    backoff_factor: float = 2.0
     parallelism: int = 1
     system_text: str | None = None
     templates: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class BackendSettings:
-    kind: str = "identity"
-    base_url: str = ""
-    path: str = "/v1/chat/completions"
-    model: str = ""
-    api_key_env: str | None = None
-    temperature: float = 0.0
-    max_tokens: int = 512
-    timeout: float = 60.0
-    rate_limit_rps: float | None = None
-    supports_system_role: bool = True
-    max_prompt_chars: int | None = None
+    external_pool: str | None = None
+    kind: Literal["identity", "table", "scripted", "http"] = "identity"
     table: dict[str, str] = field(default_factory=dict)
     script_file: str | None = None
 
@@ -85,13 +68,12 @@ class BackendSettings:
 class RunConfig:
     corpus: CorpusPaths = field(default_factory=CorpusPaths)
     stages: StageSettings = field(default_factory=StageSettings)
-    retrieval: RetrievalSettings = field(default_factory=RetrievalSettings)
-    decoding: DecodingSettings = field(default_factory=DecodingSettings)
-    backend: BackendSettings = field(default_factory=BackendSettings)
+    decoding: DecodingConfig = field(default_factory=DecodingConfig)
     metrics: BleuConfig = field(default_factory=BleuConfig)
+    loader: LoaderSettings = field(default_factory=LoaderSettings)
+    http: HttpBackendConfig | None = None
     output_dir: Path = Path("out")
     base_dir: Path = field(default_factory=Path)
-    decoding_config: DecodingConfig = field(default_factory=DecodingConfig)
 
     def resolve(self, path_value: str) -> Path:
         """Paths in the config are relative to the config file."""
@@ -99,18 +81,54 @@ class RunConfig:
         return p if p.is_absolute() else self.base_dir / p
 
 
-_SECTIONS = {
-    "corpus": CorpusPaths,
-    "stages": StageSettings,
-    "retrieval": RetrievalSettings,
-    "decoding": DecodingSettings,
-    "backend": BackendSettings,
-    "metrics": BleuConfig,
+def _fields(owner: type, names: str = "", **renamed: str) -> dict[str, tuple]:
+    """YAML key -> (owner, field, annotation); without names, every field but
+    `template`, which the loader builds from `decoding.templates`."""
+    hints = typing.get_type_hints(owner)
+    keys = names.split() or [f.name for f in fields(owner) if f.name != "template"]
+    return {k: (owner, n, hints[n]) for k, n in ({k: k for k in keys} | renamed).items()}
+
+
+_SCHEMA = {
+    "corpus": _fields(CorpusPaths),
+    "stages": _fields(StageSettings),
+    "retrieval": _fields(DecodingConfig, "similarity_alpha keyword_count")
+    | _fields(LoaderSettings, "external_pool"),
+    "decoding": _fields(LoaderSettings, "parallelism system_text templates")
+    | _fields(DecodingConfig, "history_size exemplar_count", retry="max_attempts")
+    | _fields(DecodingConfig, "fallback backoff_initial backoff_factor"),
+    "backend": _fields(HttpBackendConfig) | _fields(LoaderSettings, "kind table script_file"),
+    "metrics": _fields(BleuConfig),
 }
 
 
+def _conforms(value: Any, hint: Any) -> bool:
+    """isinstance() against an annotation; a bool is no int, an int is a float."""
+    if isinstance(hint, types.UnionType):
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is Literal:
+        return value in typing.get_args(hint)
+    if typing.get_origin(hint) is dict:
+        key_type, value_type = typing.get_args(hint)
+        return isinstance(value, dict) and all(
+            _conforms(k, key_type) and _conforms(v, value_type) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_type(key: str, value: Any, hint: Any) -> None:
+    if not _conforms(value, hint):
+        expected = hint.__name__ if isinstance(hint, type) else str(hint).removeprefix("typing.")
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+
+
 def _apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
-    value = yaml.safe_load(raw_value)
+    try:
+        value = yaml.safe_load(raw_value)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"--set {dotted_key}: invalid YAML value: {exc}") from exc
     keys = dotted_key.split(".")
     node = data
     for key in keys[:-1]:
@@ -120,19 +138,24 @@ def _apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
     node[keys[-1]] = value
 
 
-def _build_section(cls, data: Any, section: str):
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {section!r} must be a mapping")
-    known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {section!r}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {section!r}: {exc}") from exc
+def _field_values(data: dict) -> dict[type, dict[str, Any]]:
+    """Owner dataclass -> {field: value} for every key set, type-checked."""
+    values: dict[type, dict[str, Any]] = defaultdict(dict)
+    for section, node in data.items():
+        if section == "output_dir":
+            _check_type(section, node, str)
+            continue
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown top-level config key {section!r}")
+        if not isinstance(node, dict | None):
+            raise ConfigError(f"config section {section!r} must be a mapping")
+        for key, value in (node or {}).items():
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {key!r} in section {section!r}")
+            owner, name, hint = _SCHEMA[section][key]
+            _check_type(f"{section}.{key}", value, hint)
+            values[owner][name] = value
+    return values
 
 
 def load_config(
@@ -156,57 +179,50 @@ def load_config(
         key, value = item.split("=", 1)
         _apply_override(data, key.strip(), value)
 
-    unknown = set(data) - set(_SECTIONS) - {"output_dir"}
-    if unknown:
-        raise ConfigError(f"unknown top-level config key {sorted(unknown)[0]!r}")
-
-    config = RunConfig(
-        **{name: _build_section(cls, data.get(name), name) for name, cls in _SECTIONS.items()},
-        base_dir=path.parent,
-    )
+    values = _field_values(data)
+    try:
+        config = RunConfig(
+            corpus=CorpusPaths(**values[CorpusPaths]),
+            stages=StageSettings(**values[StageSettings]),
+            metrics=BleuConfig(**values[BleuConfig]),
+            loader=LoaderSettings(**values[LoaderSettings]),
+            base_dir=path.parent,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"section 'metrics': {exc}") from exc
     config.output_dir = (
         Path(output_dir)
         if output_dir is not None
-        else config.resolve(str(data.get("output_dir", "out")))
+        else config.resolve(data.get("output_dir", "out"))
     )
     _check_paths(config)
     _check_ranges(config)
-    config.decoding_config = _decoding_config(config)
+    template = _prompt_template(config)
+    try:
+        config.decoding = DecodingConfig(**values[DecodingConfig], template=template)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if config.loader.kind == "http":
+        if not values[HttpBackendConfig].get("base_url"):
+            raise ConfigError("backend.base_url is required for the http backend")
+        config.http = HttpBackendConfig(**values[HttpBackendConfig], template=template)
     return config
 
 
 def _prompt_template(config: RunConfig) -> PromptTemplate:
     parts: dict[str, str] = {}
-    for part, path_value in config.decoding.templates.items():
+    for part, path_value in config.loader.templates.items():
         text = config.resolve(path_value).read_text(encoding="utf-8")
         if text.endswith("\n"):
             text = text[:-1]
         parts[part] = text
-    if config.decoding.system_text is not None:
-        parts["system"] = config.decoding.system_text
+    if config.loader.system_text is not None:
+        parts["system"] = config.loader.system_text
     try:
         return PromptTemplate(**parts)
     except TypeError as exc:
         raise ConfigError(f"unknown template part: {exc}") from exc
     except TemplateError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _decoding_config(config: RunConfig) -> DecodingConfig:
-    d, r = config.decoding, config.retrieval
-    try:
-        return DecodingConfig(
-            history_size=d.history_size,
-            exemplar_count=d.exemplar_count,
-            similarity_alpha=r.similarity_alpha,
-            keyword_count=r.keyword_count,
-            template=_prompt_template(config),
-            max_attempts=d.retry,
-            fallback=d.fallback,
-            backoff_initial=d.backoff_initial,
-            backoff_factor=d.backoff_factor,
-        )
-    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -216,11 +232,11 @@ def _check_paths(config: RunConfig) -> None:
         ("corpus.test_records", config.corpus.test_records),
         ("corpus.source_file", config.corpus.source_file),
         ("corpus.target_file", config.corpus.target_file),
-        ("retrieval.external_pool", config.retrieval.external_pool),
-        ("backend.script_file", config.backend.script_file),
+        ("retrieval.external_pool", config.loader.external_pool),
+        ("backend.script_file", config.loader.script_file),
     ]
     candidates += [
-        (f"decoding.templates.{part}", p) for part, p in config.decoding.templates.items()
+        (f"decoding.templates.{part}", p) for part, p in config.loader.templates.items()
     ]
     for key, value in candidates:
         if value is not None and not config.resolve(value).exists():
@@ -228,16 +244,9 @@ def _check_paths(config: RunConfig) -> None:
 
 
 def _check_ranges(config: RunConfig) -> None:
-    s = config.stages
-    if s.stage1_budget < 1 or s.stage2_budget < 1:
+    if config.stages.stage1_budget < 1 or config.stages.stage2_budget < 1:
         raise ConfigError("stage budgets must be >= 1")
-    if s.stage1_side not in ("source", "target"):
-        raise ConfigError("stages.stage1_side must be 'source' or 'target'")
-    if config.decoding.parallelism < 1:
+    if config.loader.parallelism < 1:
         raise ConfigError("decoding.parallelism must be >= 1")
-    if config.backend.kind not in ("identity", "table", "scripted", "http"):
-        raise ConfigError(f"unknown backend kind {config.backend.kind!r}")
-    if config.backend.kind == "http" and not config.backend.base_url:
-        raise ConfigError("backend.base_url is required for the http backend")
-    if config.backend.kind == "scripted" and not config.backend.script_file:
+    if config.loader.kind == "scripted" and not config.loader.script_file:
         raise ConfigError("backend.script_file is required for the scripted backend")

@@ -15,8 +15,9 @@ doc_id, so the output is identical at any parallelism level.
 from __future__ import annotations
 
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
 from typing import Callable, Sequence
@@ -276,29 +277,36 @@ def run_corpus(
     scheduling. Aborted documents (fallback=abort) are skipped and listed
     in the manifest; the rest complete.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     started = datetime.now(timezone.utc).isoformat()
     results: list[DocumentTranslation] = []
     aborted: list[str] = []
 
-    def work(doc: Document) -> DocumentTranslation:
-        return translate_document(doc, backend, index, config, sleep)
+    # set on an unexpected failure or when the caller stops waiting: no
+    # document starts after it, and the FIFO queue puts every skipped
+    # document's future after the failed one's
+    stop = threading.Event()
 
-    if parallelism == 1 or len(corpus.documents) <= 1:
-        for doc in corpus.documents:
-            try:
-                results.append(work(doc))
-            except DocumentAborted:
-                aborted.append(doc.doc_id)
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(work, doc): doc for doc in corpus.documents}
+    def work(doc: Document) -> DocumentTranslation:
+        if stop.is_set():
+            raise CancelledError(doc.doc_id)
+        try:
+            return translate_document(doc, backend, index, config, sleep)
+        except DocumentAborted:
+            raise
+        except Exception:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = {pool.submit(work, doc): doc for doc in corpus.documents}
+        try:
             for future, doc in futures.items():
                 try:
                     results.append(future.result())
                 except DocumentAborted:
                     aborted.append(doc.doc_id)
+        finally:
+            stop.set()
 
     results.sort(key=lambda r: r.doc_id)
     aborted.sort()

@@ -54,7 +54,7 @@ def test_config_bad_range_rejected(toy_config_path):
 
 
 def test_config_template_file_loaded(toy_config_path):
-    template = load_config(toy_config_path).decoding_config.template
+    template = load_config(toy_config_path).decoding.template
     assert template.main.endswith("English translation:")
 
 
@@ -199,6 +199,33 @@ def test_translate_zero_retry_is_config_error(toy_config_path, tmp_path, fallbac
     err = capsys.readouterr().err
     assert "decoding.retry" in err and "Traceback" not in err
     assert not (tmp_path / "hypotheses.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "stages.stage1_budget=x",
+        "decoding.parallelism=x",
+        "decoding.parallelism=1.5",
+        "decoding.backoff_initial=x",
+        "decoding.exemplar_count=1.5",
+        "retrieval.keyword_count=2.5",
+        "decoding.templates=x",
+        "corpus.records=[1]",
+        "decoding.system_text=[1]",
+        "output_dir=[1]",
+        "decoding.retry=true",
+        "backend.timeout=x",
+        "decoding.history_size=[1",  # not YAML
+    ],
+)
+def test_ill_typed_value_is_config_error(toy_config_path, tmp_path, override, capsys):
+    out = tmp_path / "out"
+    code = run(["translate", "--config", toy_config_path, "--out", str(out), "--set", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # --- evaluate ---

@@ -332,6 +332,34 @@ def test_run_corpus_one_abort_of_three():
     assert manifest.failed_sentences == 0
 
 
+class FailOnBackend:
+    """Echoes sources, records them, and raises an unexpected error on one."""
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+        self.seen = []
+
+    def translate(self, prompt):
+        self.seen.append(prompt.current_source)
+        if prompt.current_source == self.fail_on:
+            raise RuntimeError("backend bug")
+        return prompt.current_source
+
+
+def test_run_corpus_unexpected_error_starts_no_further_document():
+    # the failure comes after the caller is already waiting on document a,
+    # so the worker could dequeue document b before the caller reacts
+    sentences = {d: [f"{d} {i}" for i in range(30)] for d in "abcd"}
+    corpus = make_corpus(
+        [make_document(d, s) for d, s in sentences.items()], monolingual=True
+    )
+    for _ in range(5):
+        backend = FailOnBackend("a 29")
+        with pytest.raises(RuntimeError, match="backend bug"):
+            run_corpus(corpus, backend, config=fast(), parallelism=1)
+        assert backend.seen == sentences["a"]
+
+
 def test_manifest_counts_failures():
     corpus = make_corpus([make_document("a", ["a zero", "a one"])], monolingual=True)
     script = {"a zero": [{"error": "network"}], "a one": "fine"}
