@@ -132,7 +132,9 @@ def _apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
     keys = dotted_key.split(".")
     node = data
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
+        if node.get(key) is None:  # a section left empty in YAML loads as None
+            node[key] = {}
+        node = node[key]
         if not isinstance(node, dict):
             raise ConfigError(f"--set {dotted_key}: {key!r} is not a section")
     node[keys[-1]] = value

@@ -241,6 +241,11 @@ def load_records(
     return _finish_corpus(docs, language_pair, source_name or path.name)
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    with Path(path).open(encoding="utf-8") as fh:
+        return [_trim(l) for l in fh]
+
+
 def load_line_aligned(
     src_path: str | Path,
     tgt_path: str | Path | None,
@@ -254,11 +259,11 @@ def load_line_aligned(
     documents; the split must occur at identical lines in both files.
     ``tgt_path=None`` loads a monolingual corpus from the source file only.
     """
-    src_lines = [_trim(l) for l in Path(src_path).open(encoding="utf-8")]
+    src_lines = _read_lines(src_path)
     if tgt_path is None:
         tgt_lines: list[str] | None = None
     else:
-        tgt_lines = [_trim(l) for l in Path(tgt_path).open(encoding="utf-8")]
+        tgt_lines = _read_lines(tgt_path)
         if len(src_lines) != len(tgt_lines):
             raise CorpusFormatError(
                 f"line count mismatch: {len(src_lines)} source lines vs "

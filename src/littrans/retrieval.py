@@ -3,11 +3,19 @@
 Candidates are scored by a blend of two lexical signals: cosine similarity
 between tf-idf term vectors and Jaccard overlap between keyword sets,
 combined as ``alpha * cosine + (1 - alpha) * jaccard``. Pools are small
-(one document prefix or one exemplar file), so search is exact.
+(one document prefix or one exemplar file), so search is exact: every
+candidate is scored.
+
+Each sentence is split into terms once. An index keeps each exemplar's
+weights and keywords; a query's vector, norm and keywords are computed
+once per top_k call and then scored against every candidate by the one
+scorer that similarity() also uses.
 
 ExemplarIndex is immutable once built and safe for concurrent queries.
 Incremental decoding grows a per-document DocumentOverlay instead of
-mutating a shared index.
+mutating a shared index; it caches each source's term counts and the
+prefix's document frequencies, so a new sentence re-weights the prefix
+from those counts rather than rebuilding it from text.
 """
 
 from __future__ import annotations
@@ -59,13 +67,21 @@ class ExemplarIndex:
         self.keyword_count = keyword_count
 
     def idf(self, term: str) -> float:
-        df = self.doc_freq.get(term, 0)
-        return math.log((1 + self.total_docs) / (1 + df)) + 1.0
+        return _idf(self.total_docs, self.doc_freq.get(term, 0))
 
     def weights(self, text: str) -> dict[str, float]:
-        """tf-idf vector of arbitrary text under this index's statistics."""
-        counts = Counter(terms(text))
-        return {t: c * self.idf(t) for t, c in counts.items()}
+        """tf-idf vector of arbitrary text under this index's statistics,
+        in first-occurrence order."""
+        return {t: c * self.idf(t) for t, c in Counter(terms(text)).items()}
+
+
+def _idf(total_docs: int, df: int) -> float:
+    return math.log((1 + total_docs) / (1 + df)) + 1.0
+
+
+def _top_terms(weights: dict[str, float], m: int) -> list[str]:
+    # a stable sort keeps first-occurrence order among equal weights
+    return sorted(weights, key=weights.__getitem__, reverse=True)[:m]
 
 
 def extract_keywords(sentence: str, index: ExemplarIndex, m: int) -> list[str]:
@@ -73,15 +89,43 @@ def extract_keywords(sentence: str, index: ExemplarIndex, m: int) -> list[str]:
     first occurrence in the sentence."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    toks = terms(sentence)
-    if not toks:
-        return []
-    first_pos: dict[str, int] = {}
-    for i, t in enumerate(toks):
-        first_pos.setdefault(t, i)
-    weights = index.weights(sentence)
-    ranked = sorted(weights, key=lambda t: (-weights[t], first_pos[t]))
-    return ranked[:m]
+    return _top_terms(index.weights(sentence), m)
+
+
+def _source_counts(source: str) -> Counter[str]:
+    if not source.strip():
+        raise ValueError("exemplar sources must be non-empty")
+    return Counter(terms(source))
+
+
+def _materialize(
+    entries: Sequence[tuple[str, str, str, int]],
+    counts: Sequence[Counter[str]],
+    doc_freq: Counter[str],
+    keyword_count: int,
+) -> ExemplarIndex:
+    """Index over entries whose term counts are already known: tf-idf
+    weights and keywords are computed against the finished df table."""
+    if keyword_count < 1:
+        raise ValueError("keyword_count must be >= 1")
+    total_docs = len(entries)
+    idf = {t: _idf(total_docs, df) for t, df in doc_freq.items()}
+    exemplars = []
+    for (source, target, doc_id, seg_index), term_counts in zip(entries, counts):
+        # counts iterate in first-occurrence order, and so do the weights
+        weights = {t: c * idf[t] for t, c in term_counts.items()}
+        exemplars.append(
+            Exemplar(
+                exemplar_id=f"{doc_id}:{seg_index}",
+                doc_id=doc_id,
+                seg_index=seg_index,
+                source=source,
+                target=target,
+                keywords=frozenset(_top_terms(weights, keyword_count)),
+                term_weights=weights,
+            )
+        )
+    return ExemplarIndex(tuple(exemplars), dict(doc_freq), keyword_count, total_docs)
 
 
 def build_index(
@@ -91,43 +135,25 @@ def build_index(
     """Build an index from (source, target, doc_id, seg_index) tuples.
 
     Term weights are tf-idf with idf = ln((1 + N) / (1 + df)) + 1; keywords
-    are extracted against the finished frequency table.
+    are the keyword_count terms of highest weight, extracted against the
+    finished frequency table.
     """
     entries = list(pool)
+    counts = [_source_counts(source) for source, _target, _doc_id, _seg in entries]
     doc_freq: Counter[str] = Counter()
-    term_lists: list[list[str]] = []
-    for source, _target, _doc_id, _seg in entries:
-        if not source.strip():
-            raise ValueError("exemplar sources must be non-empty")
-        toks = terms(source)
-        term_lists.append(toks)
-        doc_freq.update(set(toks))
-
-    # stats must be complete before keywords/weights are materialized
-    index = ExemplarIndex((), dict(doc_freq), keyword_count, total_docs=len(entries))
-
-    exemplars = []
-    for i, (source, target, doc_id, seg_index) in enumerate(entries):
-        exemplars.append(
-            Exemplar(
-                exemplar_id=f"{doc_id}:{seg_index}",
-                doc_id=doc_id,
-                seg_index=seg_index,
-                source=source,
-                target=target,
-                keywords=frozenset(extract_keywords(source, index, keyword_count)),
-                term_weights=index.weights(source),
-            )
-        )
-    index.exemplars = tuple(exemplars)
-    return index
+    for term_counts in counts:
+        doc_freq.update(term_counts.keys())
+    return _materialize(entries, counts, doc_freq, keyword_count)
 
 
-def _cosine(u: dict[str, float], v: dict[str, float]) -> float:
+def _norm(u: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in u.values()))
+
+
+def _cosine(u: dict[str, float], v: dict[str, float], norm_u: float) -> float:
     if not u or not v:
         return 0.0
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
+    norm_v = _norm(v)
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
     if len(u) > len(v):
@@ -143,22 +169,36 @@ def _jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> floa
     return len(a & b) / union
 
 
+_Query = tuple[dict[str, float], float, frozenset[str]]
+
+
+def _query(text: str, index: ExemplarIndex) -> _Query:
+    """The query's tf-idf vector, its norm and its keywords under index."""
+    weights = index.weights(text)
+    return weights, _norm(weights), frozenset(_top_terms(weights, index.keyword_count))
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
+
+
+def _score(query: _Query, ex: Exemplar, alpha: float) -> tuple[float, float, float]:
+    """(combined, lexical, keyword) of one candidate; the only scoring code."""
+    weights, norm, keywords = query
+    lexical = _cosine(weights, ex.term_weights, norm)
+    keyword = _jaccard(keywords, ex.keywords)
+    return alpha * lexical + (1.0 - alpha) * keyword, lexical, keyword
+
+
 def similarity(
     query: str,
     ex: Exemplar,
     index: ExemplarIndex,
     alpha: float = DEFAULT_ALPHA,
 ) -> SimilarityScore:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    lexical = _cosine(index.weights(query), ex.term_weights)
-    query_kw = frozenset(extract_keywords(query, index, index.keyword_count)) if query.strip() else frozenset()
-    keyword = _jaccard(query_kw, ex.keywords)
-    return SimilarityScore(
-        combined=alpha * lexical + (1.0 - alpha) * keyword,
-        lexical=lexical,
-        keyword=keyword,
-    )
+    _check_alpha(alpha)
+    return SimilarityScore(*_score(_query(query, index), ex, alpha))
 
 
 def top_k(
@@ -175,38 +215,49 @@ def top_k(
         raise ValueError("k must be >= 0")
     if k == 0:
         return []
+    _check_alpha(alpha)
+    q = _query(query, index)
     scored = []
     for ex in index.exemplars:
         if exclude is not None and exclude(ex.doc_id, ex.seg_index):
             continue
-        score = similarity(query, ex, index, alpha).combined
+        score = _score(q, ex, alpha)[0]
         if score > 0.0:
             scored.append((score, ex))
     scored.sort(key=lambda item: (-item[0], item[1].doc_id, item[1].seg_index))
-    return [ex for _score, ex in scored[:k]]
+    return [ex for _s, ex in scored[:k]]
 
 
 @dataclass
 class DocumentOverlay:
     """Growing per-document exemplar pool for incremental decoding.
 
-    Appends accumulate the already-translated prefix; the index is rebuilt
-    lazily on demand (pools are a single document, so rebuilds are cheap)
-    and the shared corpus-level index is never touched.
+    append splits the new source into terms once and adds them to the
+    overlay's own document-frequency table. Every append changes N and so
+    every idf, so index re-weights the whole prefix from the cached term
+    counts (no source is split again) on its first use after an append.
+    The shared corpus-level index is never touched.
     """
 
     keyword_count: int = DEFAULT_KEYWORD_COUNT
     _pool: list[tuple[str, str, str, int]] = field(default_factory=list)
+    _counts: list[Counter[str]] = field(default_factory=list)
+    _doc_freq: Counter[str] = field(default_factory=Counter)
     _index: ExemplarIndex | None = None
 
     def append(self, source: str, target: str, doc_id: str, seg_index: int) -> None:
+        counts = _source_counts(source)
         self._pool.append((source, target, doc_id, seg_index))
+        self._counts.append(counts)
+        self._doc_freq.update(counts.keys())
         self._index = None
 
     @property
     def index(self) -> ExemplarIndex:
         if self._index is None:
-            self._index = build_index(self._pool, self.keyword_count)
+            self._index = _materialize(
+                self._pool, self._counts, self._doc_freq, self.keyword_count
+            )
         return self._index
 
 

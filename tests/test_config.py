@@ -132,6 +132,15 @@ def test_int_satisfies_float_without_coercion(empty_config):
     assert type(config.decoding.backoff_initial) is int
 
 
+def test_override_into_empty_section(tmp_path):
+    # a section left empty in YAML loads as None; --set fills it in
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("decoding:\n", encoding="utf-8")
+    explicit = tmp_path / "explicit.yaml"
+    explicit.write_text("decoding:\n  history_size: 2\n", encoding="utf-8")
+    assert load_config(empty, overrides=["decoding.history_size=2"]) == load_config(explicit)
+
+
 def tree(root):
     return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from littrans.backend import BackendError, IdentityBackend, ScriptedBackend, TableBackend
 from littrans.decoder import (
@@ -12,8 +14,15 @@ from littrans.decoder import (
     translate_document,
 )
 from littrans.prompts import ContextEntry, ExemplarEntry, PromptTemplate, render
-from littrans.retrieval import Exemplar, build_index
-from util import CapturingBackend, brute_force_top_k, make_corpus, make_document
+from littrans.retrieval import Exemplar, build_index, similarity, top_k
+from util import (
+    CapturingBackend,
+    brute_force_scores,
+    brute_force_top_k,
+    make_corpus,
+    make_document,
+    random_words,
+)
 
 
 def no_sleep(_delay):
@@ -266,6 +275,64 @@ def test_self_history_exemplars_honour_keyword_count():
             expected = brute_force_top_k(source, prefix, 1)
             assert ids[kc][seg] == tuple(e.exemplar_id for e in expected)
     assert ids[1] != ids[5]
+
+
+# a small vocabulary repeats terms within and across sentences, so tf > 1
+# and tied scores are common
+TIE_VOCAB = ["stone", "river", "moon", "wind", "山", "水"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 20),
+    exemplar_count=st.integers(1, 3),
+    keyword_count=st.integers(1, 5),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+)
+# two prefix sentences tie on score for the last query; the oracle's floats differ by an ulp
+@example(seed=12888, length=10, exemplar_count=2, keyword_count=1, alpha=1.0)
+def test_self_history_exemplars_equal_brute_force(seed, length, exemplar_count, keyword_count, alpha):
+    rng = random.Random(seed)
+    sentences = [random_words(rng, TIE_VOCAB, 1, 6) for _ in range(length)]
+    config = fast(
+        history_size=0,
+        exemplar_count=exemplar_count,
+        keyword_count=keyword_count,
+        similarity_alpha=alpha,
+    )
+    result = translate_document(
+        make_document("d", sentences), IdentityBackend(), config=config, sleep=no_sleep
+    )
+    for seg, source in enumerate(sentences):
+        prefix = build_index(
+            [(s, s, "d", i) for i, s in enumerate(sentences[:seg])], keyword_count
+        )
+        ids = result.traces[seg].exemplar_ids
+        # the overlay picks exactly what an index rebuilt from the prefix picks
+        rebuilt = top_k(source, prefix, exemplar_count, alpha=alpha)
+        assert ids == tuple(e.exemplar_id for e in rebuilt)
+        # the oracle sums in another order, so candidates whose scores are
+        # equal can differ in the last bit and break the tie the other way:
+        # compare the oracle's scores of the picks, position by position
+        oracle = {
+            ex.exemplar_id: score for score, ex in brute_force_scores(source, prefix, alpha=alpha)
+        }
+        expected = brute_force_top_k(source, prefix, exemplar_count, alpha=alpha)
+        assert [oracle[i] for i in ids] == pytest.approx(
+            [oracle[e.exemplar_id] for e in expected], rel=0, abs=1e-12
+        )
+        # top_k ranks by exactly the floats similarity() reports: sorting
+        # the whole prefix by them, ties included, gives top_k's order
+        combined = {
+            ex.exemplar_id: similarity(source, ex, prefix, alpha).combined
+            for ex in prefix.exemplars
+        }
+        by_similarity = sorted(
+            (ex for ex in prefix.exemplars if combined[ex.exemplar_id] > 0.0),
+            key=lambda ex: (-combined[ex.exemplar_id], ex.doc_id, ex.seg_index),
+        )
+        assert top_k(source, prefix, seg, alpha=alpha) == by_similarity
 
 
 def test_reduction_prompts_equal_plain_sentence_prompts():

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littrans import retrieval
+from littrans.backend import IdentityBackend
+from littrans.decoder import DecodingConfig, translate_document
 from littrans.retrieval import (
     DocumentOverlay,
     build_index,
     extract_keywords,
+    pool_from_pairs,
     similarity,
     top_k,
 )
-from util import brute_force_top_k, random_words
+from littrans.stages import build_stage3_instructions
+from util import brute_force_top_k, make_corpus, make_document, random_words
 
 # toy pool used by the hand-computed cases:
 #   df(a)=2 df(b)=2 df(c)=2 df(d)=1, N=3
@@ -209,3 +214,44 @@ def test_concurrent_queries_deterministic():
     with ThreadPoolExecutor(max_workers=8) as pool_exec:
         got = list(pool_exec.map(lambda q: [e.exemplar_id for e in top_k(q, index, 3)], queries))
     assert got == expected
+
+
+# --- term splits: each sentence is split once per index build or query ---
+
+def count_term_splits(monkeypatch):
+    calls = []
+    split = retrieval.terms
+
+    def counting(text):
+        calls.append(text)
+        return split(text)
+
+    monkeypatch.setattr(retrieval, "terms", counting)
+    return calls
+
+
+def sixty_sentences():
+    rng = random.Random(11)
+    vocab = list(string.ascii_lowercase[:12])
+    return [(random_words(rng, vocab), f"t{i}") for i in range(60)]
+
+
+def test_decoding_splits_each_sentence_at_most_twice(monkeypatch):
+    # once as the query, once when it joins the document's own prefix
+    doc = make_document("d", [source for source, _target in sixty_sentences()])
+    calls = count_term_splits(monkeypatch)
+    config = DecodingConfig(history_size=0, exemplar_count=2, backoff_initial=0)
+    result = translate_document(doc, IdentityBackend(), config=config)
+    assert any(t.exemplar_ids for t in result.traces)
+    assert len(calls) <= 2 * 60
+
+
+def test_stage3_splits_each_pair_at_most_twice(monkeypatch):
+    # once into the corpus-wide index, once as the query
+    corpus = make_corpus([make_document("d", sixty_sentences())])
+    calls = count_term_splits(monkeypatch)
+    index = build_index(pool_from_pairs(corpus.documents[0].pairs()))
+    config = DecodingConfig(history_size=1, exemplar_count=2)
+    records = build_stage3_instructions(corpus, config, index)
+    assert len(records) == 60
+    assert len(calls) <= 2 * 60

@@ -57,9 +57,10 @@ def naive_bleu(
     return score, precisions, bp, hyp_len, ref_len
 
 
-def brute_force_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
-    """Exhaustive score-and-sort, recomputing every quantity from the raw
-    frequency table rather than reusing the index's materialized vectors."""
+def brute_force_scores(query, index: ExemplarIndex, exclude=None, alpha=0.5):
+    """(score, exemplar) for every non-excluded exemplar, recomputing every
+    quantity from the raw frequency table rather than reusing the index's
+    materialized vectors."""
     n_docs = index.total_docs
 
     def idf(term):
@@ -96,9 +97,13 @@ def brute_force_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
         ek = keywords(ex.source)
         union = qk | ek
         jac = len(qk & ek) / len(union) if union else 0.0
-        score = alpha * cos + (1 - alpha) * jac
-        if score > 0.0:
-            scored.append((score, ex))
+        scored.append((alpha * cos + (1 - alpha) * jac, ex))
+    return scored
+
+
+def brute_force_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
+    """Exhaustive score-and-sort over brute_force_scores."""
+    scored = [item for item in brute_force_scores(query, index, exclude, alpha) if item[0] > 0.0]
     scored.sort(key=lambda item: (-item[0], item[1].doc_id, item[1].seg_index))
     return [ex for _s, ex in scored[:k]]
 
