@@ -21,7 +21,7 @@ from . import metrics as metrics_mod
 from . import prompts as prompts_mod
 from . import stages as stages_mod
 from .config import ConfigError, RunConfig, load_config
-from .retrieval import build_index, pool_from_pairs
+from .retrieval import ExemplarIndex, build_index, pool_from_pairs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,14 +70,18 @@ def _out_dir(config: RunConfig) -> Path:
     return config.output_dir
 
 
-def _build_exemplar_index(config: RunConfig):
+def _index_corpus(corpus: corpus_mod.Corpus, config: RunConfig) -> ExemplarIndex:
+    pairs = [p for d in corpus.documents for p in d.pairs()]
+    return build_index(pool_from_pairs(pairs), config.decoding.keyword_count)
+
+
+def _build_exemplar_index(config: RunConfig) -> ExemplarIndex | None:
     if config.loader.external_pool is None:
         return None
     pool_corpus = corpus_mod.load_records(config.resolve(config.loader.external_pool))
     if not pool_corpus.is_parallel:
         raise ConfigError("retrieval.external_pool must be a parallel record file")
-    pairs = [p for d in pool_corpus.documents for p in d.pairs()]
-    return build_index(pool_from_pairs(pairs), config.decoding.keyword_count)
+    return _index_corpus(pool_corpus, config)
 
 
 def cmd_prepare(stage: str, config: RunConfig) -> int:
@@ -110,8 +114,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
     if stage == "3":
         index = _build_exemplar_index(config)
         if index is None:
-            pairs = [p for d in corpus.documents for p in d.pairs()]
-            index = build_index(pool_from_pairs(pairs), config.decoding.keyword_count)
+            index = _index_corpus(corpus, config)
         records = stages_mod.build_stage3_instructions(corpus, config.decoding, index)
         path = out / "stage3_instructions.jsonl"
         stages_mod.write_instruction_records(records, path)

@@ -3,9 +3,9 @@
 A document is translated strictly in sentence order; each step's prompt
 carries the previous history-size (source, hypothesis) pairs and the best
 style exemplars for the current sentence. By default exemplars come from
-the document's own already-translated prefix (a per-document overlay pool
-grown from the model's outputs); passing an index switches to an external,
-static exemplar pool.
+the document's own already-translated prefix: a per-document exemplar
+index that gets each sentence and its hypothesis appended once it is
+decoded. Passing an index switches to an external, static exemplar pool.
 
 Within a document decoding is sequential by construction. Across
 documents run_corpus fans out over a thread pool; results are ordered by
@@ -30,11 +30,9 @@ from .prompts import (
     PromptSpec,
     PromptTemplate,
     prompt_hash,
-    render,
 )
 from .retrieval import (
     DEFAULT_KEYWORD_COUNT,
-    DocumentOverlay,
     ExcludeFn,
     Exemplar,
     ExemplarIndex,
@@ -195,11 +193,9 @@ def translate_document(
     source verbatim and marks the trace failed, abort raises
     DocumentAborted.
     """
-    overlay = (
-        DocumentOverlay(config.keyword_count)
-        if index is None and config.exemplar_count > 0
-        else None
-    )
+    own_prefix = index is None and config.exemplar_count > 0
+    if own_prefix:
+        index = ExemplarIndex(config.keyword_count)
     history: list[ContextEntry] = []
     sources: list[str] = []
     hypotheses: list[str] = []
@@ -208,10 +204,9 @@ def translate_document(
     for pair in doc.pairs():
         hits = []
         if config.exemplar_count > 0:
-            pool = index if index is not None else overlay.index
             hits = top_k(
                 pair.source,
-                pool,
+                index,
                 config.exemplar_count,
                 exclude=exclude_at_or_after(doc.doc_id, pair.seg_index),
                 alpha=config.similarity_alpha,
@@ -237,8 +232,8 @@ def translate_document(
             )
         )
         history.append(ContextEntry(pair.seg_index, pair.source, hyp))
-        if overlay is not None:
-            overlay.append(pair.source, hyp, doc.doc_id, pair.seg_index)
+        if own_prefix:
+            index.append(pair.source, hyp, doc.doc_id, pair.seg_index)
 
     return DocumentTranslation(
         doc_id=doc.doc_id,

@@ -6,24 +6,25 @@ combined as ``alpha * cosine + (1 - alpha) * jaccard``. Pools are small
 (one document prefix or one exemplar file), so search is exact: every
 candidate is scored.
 
-Each sentence is split into terms once. An index keeps each exemplar's
-weights and keywords; a query's vector, norm and keywords are computed
-once per top_k call and then scored against every candidate by the one
-scorer that similarity() also uses.
+ExemplarIndex is the one pool type. It grows by append, which splits the
+source into terms once, keeps its term counts and updates the document
+frequencies. Every append changes N and so every idf; each exemplar's
+weights, norm and keywords are recomputed from the kept counts at the
+first query after an append. A query's vector is computed once per top_k
+call and scored against every candidate by the one scorer that
+similarity() also uses.
 
-ExemplarIndex is immutable once built and safe for concurrent queries.
-Incremental decoding grows a per-document DocumentOverlay instead of
-mutating a shared index; it caches each source's term counts and the
-prefix's document frequencies, so a new sentence re-weights the prefix
-from those counts rather than rebuilding it from text.
+build_index weighs the pool before it returns, so queries never write a
+built index and concurrent queries are safe. Incremental decoding appends
+to a per-document index of its own.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 from .tokenization import terms
 
@@ -40,8 +41,7 @@ class Exemplar:
     seg_index: int
     source: str
     target: str
-    keywords: frozenset[str]
-    term_weights: dict[str, float]
+    term_counts: Mapping[str, int]  # in first-occurrence order
 
 
 @dataclass(frozen=True)
@@ -51,28 +51,8 @@ class SimilarityScore:
     keyword: float
 
 
-class ExemplarIndex:
-    """Searchable pool of exemplars with corpus-level term statistics."""
-
-    def __init__(
-        self,
-        exemplars: tuple[Exemplar, ...],
-        doc_freq: dict[str, int],
-        keyword_count: int = DEFAULT_KEYWORD_COUNT,
-        total_docs: int | None = None,
-    ):
-        self.exemplars = exemplars
-        self.doc_freq = doc_freq
-        self.total_docs = len(exemplars) if total_docs is None else total_docs
-        self.keyword_count = keyword_count
-
-    def idf(self, term: str) -> float:
-        return _idf(self.total_docs, self.doc_freq.get(term, 0))
-
-    def weights(self, text: str) -> dict[str, float]:
-        """tf-idf vector of arbitrary text under this index's statistics,
-        in first-occurrence order."""
-        return {t: c * self.idf(t) for t, c in Counter(terms(text)).items()}
+# tf-idf weights in first-occurrence order, their norm, and the keywords
+_Vector = tuple[dict[str, float], float, frozenset[str]]
 
 
 def _idf(total_docs: int, df: int) -> float:
@@ -84,48 +64,74 @@ def _top_terms(weights: dict[str, float], m: int) -> list[str]:
     return sorted(weights, key=weights.__getitem__, reverse=True)[:m]
 
 
+def _norm(u: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in u.values()))
+
+
+def _vector(
+    counts: Mapping[str, int], idf: Callable[[str], float], keyword_count: int
+) -> _Vector:
+    """The one place a text's weights, norm and keywords are computed."""
+    weights = {t: c * idf(t) for t, c in counts.items()}
+    return weights, _norm(weights), frozenset(_top_terms(weights, keyword_count))
+
+
+class ExemplarIndex:
+    """Searchable pool of exemplars with its term statistics, grown by
+    append."""
+
+    def __init__(self, keyword_count: int = DEFAULT_KEYWORD_COUNT):
+        if keyword_count < 1:
+            raise ValueError("keyword_count must be >= 1")
+        self.keyword_count = keyword_count
+        self.exemplars: list[Exemplar] = []
+        self.doc_freq: Counter[str] = Counter()
+        self._vectors: list[_Vector] | None = []  # None after an append
+
+    @property
+    def total_docs(self) -> int:
+        return len(self.exemplars)
+
+    def append(self, source: str, target: str, doc_id: str, seg_index: int) -> Exemplar:
+        if not source.strip():
+            raise ValueError("exemplar sources must be non-empty")
+        counts = Counter(terms(source))
+        ex = Exemplar(f"{doc_id}:{seg_index}", doc_id, seg_index, source, target, counts)
+        self.exemplars.append(ex)
+        self.doc_freq.update(counts.keys())
+        self._vectors = None
+        return ex
+
+    def idf(self, term: str) -> float:
+        return _idf(self.total_docs, self.doc_freq.get(term, 0))
+
+    def weights(self, text: str) -> dict[str, float]:
+        """tf-idf vector of arbitrary text under this index's statistics,
+        in first-occurrence order."""
+        return self._weigh(Counter(terms(text)))[0]
+
+    def _weigh(self, counts: Mapping[str, int]) -> _Vector:
+        return _vector(counts, self.idf, self.keyword_count)
+
+    def _candidates(self) -> list[_Vector]:
+        """Every exemplar's vector under the current N, recomputed from the
+        kept term counts after an append."""
+        if self._vectors is None:
+            total_docs = self.total_docs
+            idf = {t: _idf(total_docs, df) for t, df in self.doc_freq.items()}
+            self._vectors = [
+                _vector(ex.term_counts, idf.__getitem__, self.keyword_count)
+                for ex in self.exemplars
+            ]
+        return self._vectors
+
+
 def extract_keywords(sentence: str, index: ExemplarIndex, m: int) -> list[str]:
     """Up to m distinct terms with highest tf-idf weight, ties broken by
     first occurrence in the sentence."""
     if m < 1:
         raise ValueError("m must be >= 1")
     return _top_terms(index.weights(sentence), m)
-
-
-def _source_counts(source: str) -> Counter[str]:
-    if not source.strip():
-        raise ValueError("exemplar sources must be non-empty")
-    return Counter(terms(source))
-
-
-def _materialize(
-    entries: Sequence[tuple[str, str, str, int]],
-    counts: Sequence[Counter[str]],
-    doc_freq: Counter[str],
-    keyword_count: int,
-) -> ExemplarIndex:
-    """Index over entries whose term counts are already known: tf-idf
-    weights and keywords are computed against the finished df table."""
-    if keyword_count < 1:
-        raise ValueError("keyword_count must be >= 1")
-    total_docs = len(entries)
-    idf = {t: _idf(total_docs, df) for t, df in doc_freq.items()}
-    exemplars = []
-    for (source, target, doc_id, seg_index), term_counts in zip(entries, counts):
-        # counts iterate in first-occurrence order, and so do the weights
-        weights = {t: c * idf[t] for t, c in term_counts.items()}
-        exemplars.append(
-            Exemplar(
-                exemplar_id=f"{doc_id}:{seg_index}",
-                doc_id=doc_id,
-                seg_index=seg_index,
-                source=source,
-                target=target,
-                keywords=frozenset(_top_terms(weights, keyword_count)),
-                term_weights=weights,
-            )
-        )
-    return ExemplarIndex(tuple(exemplars), dict(doc_freq), keyword_count, total_docs)
 
 
 def build_index(
@@ -136,24 +142,16 @@ def build_index(
 
     Term weights are tf-idf with idf = ln((1 + N) / (1 + df)) + 1; keywords
     are the keyword_count terms of highest weight, extracted against the
-    finished frequency table.
+    finished frequency table. The index is weighed before it returns.
     """
-    entries = list(pool)
-    counts = [_source_counts(source) for source, _target, _doc_id, _seg in entries]
-    doc_freq: Counter[str] = Counter()
-    for term_counts in counts:
-        doc_freq.update(term_counts.keys())
-    return _materialize(entries, counts, doc_freq, keyword_count)
+    index = ExemplarIndex(keyword_count)
+    for source, target, doc_id, seg_index in pool:
+        index.append(source, target, doc_id, seg_index)
+    index._candidates()  # weighed now, a query never writes it: threads can share it
+    return index
 
 
-def _norm(u: dict[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in u.values()))
-
-
-def _cosine(u: dict[str, float], v: dict[str, float], norm_u: float) -> float:
-    if not u or not v:
-        return 0.0
-    norm_v = _norm(v)
+def _cosine(u: dict[str, float], norm_u: float, v: dict[str, float], norm_v: float) -> float:
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
     if len(u) > len(v):
@@ -162,20 +160,11 @@ def _cosine(u: dict[str, float], v: dict[str, float], norm_u: float) -> float:
     return dot / (norm_u * norm_v)
 
 
-def _jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
+def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     if not a and not b:
         return 0.0
     union = len(a | b)
     return len(a & b) / union
-
-
-_Query = tuple[dict[str, float], float, frozenset[str]]
-
-
-def _query(text: str, index: ExemplarIndex) -> _Query:
-    """The query's tf-idf vector, its norm and its keywords under index."""
-    weights = index.weights(text)
-    return weights, _norm(weights), frozenset(_top_terms(weights, index.keyword_count))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -183,11 +172,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be in [0, 1]")
 
 
-def _score(query: _Query, ex: Exemplar, alpha: float) -> tuple[float, float, float]:
+def _score(query: _Vector, candidate: _Vector, alpha: float) -> tuple[float, float, float]:
     """(combined, lexical, keyword) of one candidate; the only scoring code."""
-    weights, norm, keywords = query
-    lexical = _cosine(weights, ex.term_weights, norm)
-    keyword = _jaccard(keywords, ex.keywords)
+    q_weights, q_norm, q_keywords = query
+    c_weights, c_norm, c_keywords = candidate
+    lexical = _cosine(q_weights, q_norm, c_weights, c_norm)
+    keyword = _jaccard(q_keywords, c_keywords)
     return alpha * lexical + (1.0 - alpha) * keyword, lexical, keyword
 
 
@@ -198,7 +188,9 @@ def similarity(
     alpha: float = DEFAULT_ALPHA,
 ) -> SimilarityScore:
     _check_alpha(alpha)
-    return SimilarityScore(*_score(_query(query, index), ex, alpha))
+    return SimilarityScore(
+        *_score(index._weigh(Counter(terms(query))), index._weigh(ex.term_counts), alpha)
+    )
 
 
 def top_k(
@@ -216,49 +208,16 @@ def top_k(
     if k == 0:
         return []
     _check_alpha(alpha)
-    q = _query(query, index)
+    q = index._weigh(Counter(terms(query)))
     scored = []
-    for ex in index.exemplars:
+    for ex, vector in zip(index.exemplars, index._candidates()):
         if exclude is not None and exclude(ex.doc_id, ex.seg_index):
             continue
-        score = _score(q, ex, alpha)[0]
+        score = _score(q, vector, alpha)[0]
         if score > 0.0:
             scored.append((score, ex))
     scored.sort(key=lambda item: (-item[0], item[1].doc_id, item[1].seg_index))
     return [ex for _s, ex in scored[:k]]
-
-
-@dataclass
-class DocumentOverlay:
-    """Growing per-document exemplar pool for incremental decoding.
-
-    append splits the new source into terms once and adds them to the
-    overlay's own document-frequency table. Every append changes N and so
-    every idf, so index re-weights the whole prefix from the cached term
-    counts (no source is split again) on its first use after an append.
-    The shared corpus-level index is never touched.
-    """
-
-    keyword_count: int = DEFAULT_KEYWORD_COUNT
-    _pool: list[tuple[str, str, str, int]] = field(default_factory=list)
-    _counts: list[Counter[str]] = field(default_factory=list)
-    _doc_freq: Counter[str] = field(default_factory=Counter)
-    _index: ExemplarIndex | None = None
-
-    def append(self, source: str, target: str, doc_id: str, seg_index: int) -> None:
-        counts = _source_counts(source)
-        self._pool.append((source, target, doc_id, seg_index))
-        self._counts.append(counts)
-        self._doc_freq.update(counts.keys())
-        self._index = None
-
-    @property
-    def index(self) -> ExemplarIndex:
-        if self._index is None:
-            self._index = _materialize(
-                self._pool, self._counts, self._doc_freq, self.keyword_count
-            )
-        return self._index
 
 
 def pool_from_pairs(

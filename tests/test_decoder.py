@@ -76,7 +76,7 @@ def test_prompt_window_n_zero():
 
 
 def hit(doc_id, seg_index):
-    return Exemplar(f"{doc_id}:{seg_index}", doc_id, seg_index, "s", "t", frozenset(), {})
+    return Exemplar(f"{doc_id}:{seg_index}", doc_id, seg_index, "s", "t", {})
 
 
 def test_prompt_rejects_future_exemplar():
@@ -309,7 +309,7 @@ def test_self_history_exemplars_equal_brute_force(seed, length, exemplar_count, 
             [(s, s, "d", i) for i, s in enumerate(sentences[:seg])], keyword_count
         )
         ids = result.traces[seg].exemplar_ids
-        # the overlay picks exactly what an index rebuilt from the prefix picks
+        # the grown prefix index picks exactly what an index built from the prefix picks
         rebuilt = top_k(source, prefix, exemplar_count, alpha=alpha)
         assert ids == tuple(e.exemplar_id for e in rebuilt)
         # the oracle sums in another order, so candidates whose scores are

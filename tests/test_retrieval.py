@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import string
@@ -10,7 +11,7 @@ from littrans import retrieval
 from littrans.backend import IdentityBackend
 from littrans.decoder import DecodingConfig, translate_document
 from littrans.retrieval import (
-    DocumentOverlay,
+    ExemplarIndex,
     build_index,
     extract_keywords,
     pool_from_pairs,
@@ -46,10 +47,12 @@ def test_build_index_df_table(toy_index):
 
 def test_build_index_weights(toy_index):
     ex = toy_index.exemplars[2]  # "c d a"
+    assert ex.term_counts == {"c": 1, "d": 1, "a": 1}
     w = math.log(4 / 3) + 1
     wd = math.log(2) + 1
-    assert ex.term_weights == pytest.approx({"c": w, "d": wd, "a": w})
-    assert set(ex.term_weights) <= set(toy_index.doc_freq)
+    weights = toy_index.weights(ex.source)
+    assert weights == pytest.approx({"c": w, "d": wd, "a": w})
+    assert set(weights) <= set(toy_index.doc_freq)
 
 
 def test_empty_pool():
@@ -60,8 +63,9 @@ def test_empty_pool():
 
 def test_identical_sentences_identical_weights():
     index = build_index([("x y", "t", "a", 0), ("x y", "t", "b", 0)])
-    assert index.exemplars[0].term_weights == index.exemplars[1].term_weights
-    assert index.exemplars[0].keywords == index.exemplars[1].keywords
+    first, second = index.exemplars
+    assert first.term_counts == second.term_counts
+    assert similarity("x y", first, index) == similarity("x y", second, index)
 
 
 def test_keywords_rare_term_first(toy_index):
@@ -197,16 +201,43 @@ def test_top_k_brute_force_equivalence_random(seed, pool_size, k):
     )
 
 
-def test_overlay_grows_and_rebuilds():
-    overlay = DocumentOverlay()
-    overlay.append("a b", "A B", "d", 0)
-    assert overlay.index.total_docs == 1
-    overlay.append("b c", "B C", "d", 1)
-    index = overlay.index
+def test_index_grows_by_append():
+    index = ExemplarIndex()
+    index.append("a b", "A B", "d", 0)
+    assert index.total_docs == 1
+    assert [e.seg_index for e in top_k("a", index, 1)] == [0]
+    index.append("b c", "B C", "d", 1)
     assert index.total_docs == 2
     assert index.doc_freq == {"a": 1, "b": 2, "c": 1}
+    # the append changed N, so every weight follows the new table
+    w = math.log(3 / 2) + 1
+    assert index.weights("a b c") == pytest.approx({"a": w, "b": 1.0, "c": w})
     hits = top_k("b c", index, 1)
     assert hits[0].seg_index == 1
+
+
+def test_append_keeps_every_earlier_exemplar():
+    index = ExemplarIndex()
+    kept = []
+    for i, source in enumerate(["a b", "b c", "c d a", "d"]):
+        kept.append(index.append(source, source.upper(), "d", i))
+        top_k(source, index, 2)
+        assert all(a is b for a, b in zip(index.exemplars, kept, strict=True))
+
+
+def test_queries_leave_a_built_index_unwritten(toy_index):
+    # nothing a query does may write a built index: run_corpus threads
+    # share one
+    before = {name: (value, copy.deepcopy(value)) for name, value in vars(toy_index).items()}
+    top_k("a b c", toy_index, 2)
+    top_k("d", toy_index, 3, exclude=lambda d, s: d == "p")
+    for ex in toy_index.exemplars:
+        similarity("c a", ex, toy_index)
+    extract_keywords("a b d", toy_index, 2)
+    assert vars(toy_index).keys() == before.keys()
+    for name, (value, snapshot) in before.items():
+        assert vars(toy_index)[name] is value
+        assert value == snapshot, name
 
 
 def test_build_index_rejects_empty_source():
