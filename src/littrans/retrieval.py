@@ -2,25 +2,32 @@
 
 Candidates are scored by a blend of two lexical signals: cosine similarity
 between tf-idf term vectors and Jaccard overlap between keyword sets,
-combined as ``alpha * cosine + (1 - alpha) * jaccard``. Pools are small
-(one document prefix or one exemplar file), so search is exact: every
-candidate is scored.
+combined as ``alpha * cosine + (1 - alpha) * jaccard``.
 
 ExemplarIndex is the one pool type. It grows by append, which splits the
-source into terms once, keeps its term counts and updates the document
-frequencies. Every append changes N and so every idf; each exemplar's
-weights, norm and keywords are recomputed from the kept counts at the
-first query after an append. A query's vector is computed once per top_k
-call and scored against every candidate by the one scorer that
-similarity() also uses.
+source into terms once, keeps its term counts, updates the document
+frequencies and adds (position, count) to the postings of each term. Every
+append changes N and so every idf: it drops the idf table and the exemplar
+vectors, and each is computed again the first time a query needs it.
 
-build_index weighs the pool before it returns, so queries never write a
-built index and concurrent queries are safe. Incremental decoding appends
+Search is exact without scoring every candidate. top_k walks the postings
+of the query's terms and gets, for each exemplar that shares a term, an
+upper bound on its score (see ExemplarIndex._bounds); an exemplar that
+shares no term scores 0 and is never returned. It then scores exemplars in
+descending bound with _score, the one scorer that similarity() also uses,
+weighing each one only then, and stops when the next bound falls below the
+k-th best score so far by more than a rounding margin. Every exemplar that
+could still enter the top k, ties included, has been scored with the same
+floats as a full scan, so the ids are those a full scan returns.
+
+build_index weighs the whole pool before it returns, so queries never write
+a built index and concurrent queries are safe. Incremental decoding appends
 to a per-document index of its own.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,6 +39,9 @@ DEFAULT_ALPHA = 0.5
 DEFAULT_KEYWORD_COUNT = 5
 
 ExcludeFn = Callable[[str, int], bool]
+
+# absorbs the rounding of a bound, which sums in another order than _score
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,25 @@ def _vector(
     return weights, _norm(weights), frozenset(_top_terms(weights, keyword_count))
 
 
+class _IdfTable(dict):
+    """idf of each term under one N, computed at first use. Terms outside
+    the pool are not kept, so a query never writes a full table. Holds the
+    index's frequency table, never the index: no reference cycle keeps a
+    dropped index alive."""
+
+    def __init__(self, total_docs: int, doc_freq: Mapping[str, int]):
+        super().__init__()
+        self.total_docs = total_docs
+        self.doc_freq = doc_freq
+
+    def __missing__(self, term: str) -> float:
+        df = self.doc_freq.get(term, 0)
+        idf = _idf(self.total_docs, df)
+        if df:
+            self[term] = idf
+        return idf
+
+
 class ExemplarIndex:
     """Searchable pool of exemplars with its term statistics, grown by
     append."""
@@ -86,7 +115,13 @@ class ExemplarIndex:
         self.keyword_count = keyword_count
         self.exemplars: list[Exemplar] = []
         self.doc_freq: Counter[str] = Counter()
-        self._vectors: list[_Vector] | None = []  # None after an append
+        self._postings: dict[str, list[tuple[int, int]]] = {}  # term -> (position, count)
+        # per exemplar: sum of squared term counts, number of keywords
+        self._count_squares: list[int] = []
+        self._keyword_sizes: list[int] = []
+        # caches under the current N, dropped by append
+        self._idf = _IdfTable(0, self.doc_freq)
+        self._vectors: dict[int, _Vector] = {}
 
     @property
     def total_docs(self) -> int:
@@ -96,14 +131,20 @@ class ExemplarIndex:
         if not source.strip():
             raise ValueError("exemplar sources must be non-empty")
         counts = Counter(terms(source))
+        position = len(self.exemplars)
         ex = Exemplar(f"{doc_id}:{seg_index}", doc_id, seg_index, source, target, counts)
         self.exemplars.append(ex)
         self.doc_freq.update(counts.keys())
-        self._vectors = None
+        for t, c in counts.items():
+            self._postings.setdefault(t, []).append((position, c))
+        self._count_squares.append(sum(c * c for c in counts.values()))
+        self._keyword_sizes.append(min(self.keyword_count, len(counts)))
+        self._idf = _IdfTable(len(self.exemplars), self.doc_freq)
+        self._vectors = {}
         return ex
 
     def idf(self, term: str) -> float:
-        return _idf(self.total_docs, self.doc_freq.get(term, 0))
+        return self._idf[term]
 
     def weights(self, text: str) -> dict[str, float]:
         """tf-idf vector of arbitrary text under this index's statistics,
@@ -111,19 +152,60 @@ class ExemplarIndex:
         return self._weigh(Counter(terms(text)))[0]
 
     def _weigh(self, counts: Mapping[str, int]) -> _Vector:
-        return _vector(counts, self.idf, self.keyword_count)
+        return _vector(counts, self._idf.__getitem__, self.keyword_count)
 
-    def _candidates(self) -> list[_Vector]:
-        """Every exemplar's vector under the current N, recomputed from the
-        kept term counts after an append."""
-        if self._vectors is None:
-            total_docs = self.total_docs
-            idf = {t: _idf(total_docs, df) for t, df in self.doc_freq.items()}
-            self._vectors = [
-                _vector(ex.term_counts, idf.__getitem__, self.keyword_count)
-                for ex in self.exemplars
-            ]
-        return self._vectors
+    def _vector_at(self, position: int) -> _Vector:
+        """One exemplar's vector under the current N, weighed at first use."""
+        vector = self._vectors.get(position)
+        if vector is None:
+            vector = self._weigh(self.exemplars[position].term_counts)
+            self._vectors[position] = vector
+        return vector
+
+    def _bounds(self, query: _Vector, alpha: float) -> dict[int, float]:
+        """An upper bound on the combined score of every exemplar that
+        shares a term with the query and may score above 0, by position;
+        the others score 0.
+
+        Both sides weigh a shared term with the same idf, so the dot product
+        over the shared terms is the exact one. Every idf is at least 1, so
+        the exemplar's norm is at least sqrt(shared weights squared + counts
+        squared of its other terms). Its keywords can only be query keywords
+        it contains, and it has min(keyword_count, distinct terms) of them.
+        """
+        q_weights, q_norm, q_keywords = query
+        n = len(self.exemplars)
+        dot = [0.0] * n
+        excess = [0.0] * n  # over the shared terms: weight squared minus count squared
+        found = [0] * n  # query keywords among the exemplar's terms
+        for t, q_weight in q_weights.items():
+            postings = self._postings.get(t)
+            if postings is None:
+                continue
+            idf = self._idf[t]
+            keyword = t in q_keywords
+            for position, c in postings:
+                w = c * idf
+                dot[position] += q_weight * w
+                excess[position] += w * w - c * c
+                if keyword:
+                    found[position] += 1
+        count_squares = self._count_squares
+        keyword_sizes = self._keyword_sizes
+        q_keyword_count = len(q_keywords)
+        bounds = {}
+        for position, d in enumerate(dot):
+            if d:
+                kc = keyword_sizes[position]
+                j = found[position]
+                if j > kc:
+                    j = kc
+                cosine = d / (q_norm * math.sqrt(count_squares[position] + excess[position]))
+                jaccard = j / (q_keyword_count + kc - j)
+                bound = alpha * cosine + (1.0 - alpha) * jaccard
+                if bound > 0.0:  # 0 only at alpha 0 without a query keyword: scores 0
+                    bounds[position] = bound
+        return bounds
 
 
 def extract_keywords(sentence: str, index: ExemplarIndex, m: int) -> list[str]:
@@ -147,7 +229,8 @@ def build_index(
     index = ExemplarIndex(keyword_count)
     for source, target, doc_id, seg_index in pool:
         index.append(source, target, doc_id, seg_index)
-    index._candidates()  # weighed now, a query never writes it: threads can share it
+    for position in range(index.total_docs):
+        index._vector_at(position)  # weighed now, a query never writes it: threads can share it
     return index
 
 
@@ -209,13 +292,22 @@ def top_k(
         return []
     _check_alpha(alpha)
     q = index._weigh(Counter(terms(query)))
+    bounds = index._bounds(q, alpha)
+    kth: list[float] = []  # min-heap of the k best exact scores so far
     scored = []
-    for ex, vector in zip(index.exemplars, index._candidates()):
+    for position in sorted(bounds, key=bounds.__getitem__, reverse=True):
+        if len(kth) == k and bounds[position] < kth[0] - _BOUND_MARGIN:
+            break  # no later candidate can reach the k-th best score
+        ex = index.exemplars[position]
         if exclude is not None and exclude(ex.doc_id, ex.seg_index):
             continue
-        score = _score(q, vector, alpha)[0]
+        score = _score(q, index._vector_at(position), alpha)[0]
         if score > 0.0:
             scored.append((score, ex))
+            if len(kth) < k:
+                heapq.heappush(kth, score)
+            else:
+                heapq.heappushpop(kth, score)
     scored.sort(key=lambda item: (-item[0], item[1].doc_id, item[1].seg_index))
     return [ex for _s, ex in scored[:k]]
 

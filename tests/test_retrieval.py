@@ -1,7 +1,10 @@
 import copy
+import gc
 import math
 import random
 import string
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from littrans import retrieval
 from littrans.backend import IdentityBackend
-from littrans.decoder import DecodingConfig, translate_document
+from littrans.decoder import DecodingConfig, exclude_at_or_after, translate_document
 from littrans.retrieval import (
     ExemplarIndex,
     build_index,
@@ -19,7 +22,15 @@ from littrans.retrieval import (
     top_k,
 )
 from littrans.stages import build_stage3_instructions
-from util import brute_force_scores, brute_force_top_k, make_corpus, make_document, random_words
+from littrans.tokenization import terms
+from util import (
+    brute_force_scores,
+    brute_force_top_k,
+    full_scan_top_k,
+    make_corpus,
+    make_document,
+    random_words,
+)
 
 # toy pool used by the hand-computed cases:
 #   df(a)=2 df(b)=2 df(c)=2 df(d)=1, N=3
@@ -298,3 +309,115 @@ def test_stage3_splits_each_pair_at_most_twice(monkeypatch):
     records = build_stage3_instructions(corpus, config, index)
     assert len(records) == 60
     assert len(calls) <= 2 * 60
+
+
+# --- bound-and-rescore: the same ids as a full scan, fewer exemplars scored ---
+
+# six terms and short sentences, so equal scores are common
+tie_prone_sentences = st.lists(
+    st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6).map(" ".join),
+    min_size=1,
+    max_size=30,
+)
+alphas = st.sampled_from([0.0, 0.5, 1.0])
+
+
+def ids(exemplars):
+    return [e.exemplar_id for e in exemplars]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_prone_sentences, alphas, st.integers(1, 3), st.integers(1, 5))
+def test_top_k_equals_full_scan_on_a_growing_index(sentences, alpha, k, keyword_count):
+    index = ExemplarIndex(keyword_count)
+    for i, source in enumerate(sentences):
+        exclude = exclude_at_or_after("d", i)
+        assert ids(top_k(source, index, k, exclude=exclude, alpha=alpha)) == ids(
+            full_scan_top_k(source, index, k, exclude=exclude, alpha=alpha)
+        ), i
+        index.append(source, source.upper(), "d", i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_prone_sentences, alphas, st.integers(1, 3), st.integers(1, 5))
+def test_top_k_equals_full_scan_on_a_built_index(sentences, alpha, k, keyword_count):
+    # three documents, as stage 3 queries the corpus-wide index
+    pool = [(source, "t", f"d{i % 3}", i // 3) for i, source in enumerate(sentences)]
+    index = build_index(pool, keyword_count)
+    for source, _target, doc_id, seg_index in pool:
+        exclude = exclude_at_or_after(doc_id, seg_index)
+        assert ids(top_k(source, index, k, exclude=exclude, alpha=alpha)) == ids(
+            full_scan_top_k(source, index, k, exclude=exclude, alpha=alpha)
+        ), (doc_id, seg_index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_prone_sentences, alphas, st.integers(1, 5))
+def test_bounds_cover_exact_scores(sentences, alpha, keyword_count):
+    index = ExemplarIndex(keyword_count)
+    for i, source in enumerate(sentences):
+        q = index._weigh(Counter(terms(source)))
+        bounds = index._bounds(q, alpha)
+        for position in range(index.total_docs):
+            score = retrieval._score(q, index._vector_at(position), alpha)[0]
+            if position in bounds:
+                assert bounds[position] >= score - 1e-9, (i, position)
+            else:
+                assert score == 0.0, (i, position)
+        index.append(source, source.upper(), "d", i)
+
+
+def zipf_sentences(n, seed):
+    """n zh-like sentences: Zipf-skewed words of one or two ideographs,
+    sometimes "，" between words, "。" at the end."""
+    rng = random.Random(seed)
+    words = [
+        "".join(chr(0x4E00 + rng.randrange(20000)) for _ in range(rng.randint(1, 2)))
+        for _ in range(1500)
+    ]
+    skew = [1 / (rank + 1) ** 1.1 for rank in range(len(words))]
+    sentences = []
+    for _ in range(n):
+        picked = rng.choices(words, skew, k=rng.randint(4, 14))
+        text = picked[0] + "".join(("，" if rng.random() < 0.15 else "") + w for w in picked[1:])
+        sentences.append(text + "。")
+    return sentences
+
+
+# a full scan scores every prefix exemplar, a share of 1.0 of the summed
+# pool sizes; the bounds leave 0.158 (7068 of 44850) on this document
+PINNED_RESCORED_SHARE = 0.25
+
+
+def test_decoding_rescores_a_fraction_of_the_prefix(monkeypatch):
+    doc = make_document("d", zipf_sentences(300, seed=7))
+    calls = []
+    score = retrieval._score
+
+    def counting(*args):
+        calls.append(None)
+        return score(*args)
+
+    monkeypatch.setattr(retrieval, "_score", counting)
+    config = DecodingConfig(history_size=0, exemplar_count=2, backoff_initial=0)
+    result = translate_document(doc, IdentityBackend(), config=config)
+    assert any(t.exemplar_ids for t in result.traces)
+    assert len(calls) <= PINNED_RESCORED_SHARE * sum(range(300))
+
+
+def test_a_dropped_index_is_freed_by_refcount_alone():
+    # a reference cycle through the index would keep every finished
+    # document's index alive until a full collection
+    gc.disable()
+    try:
+        index = ExemplarIndex()
+        for i, source in enumerate(["a b", "b c", "c d a", "d", "a b"]):
+            top_k(source, index, 2)
+            index.append(source, source.upper(), "d", i)
+        similarity("a d", index.exemplars[0], index)
+        extract_keywords("b d", index, 2)
+        alive = weakref.ref(index)
+        del index
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
+from littrans import retrieval
 from littrans.corpus import Chapter, Corpus, Document, SentencePair
 from littrans.prompts import render
 from littrans.retrieval import ExemplarIndex
@@ -104,6 +106,30 @@ def brute_force_scores(query, index: ExemplarIndex, exclude=None, alpha=0.5):
 def brute_force_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
     """Exhaustive score-and-sort over brute_force_scores."""
     scored = [item for item in brute_force_scores(query, index, exclude, alpha) if item[0] > 0.0]
+    scored.sort(key=lambda item: (-item[0], item[1].doc_id, item[1].seg_index))
+    return [ex for _s, ex in scored[:k]]
+
+
+def full_scan_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
+    """top_k by scoring every non-excluded exemplar with retrieval._score.
+
+    Vectors are weighed here from the frequency table, never from the
+    index's caches, with the same arithmetic as the index, so the floats are
+    the ones top_k compares and the ids must match exactly."""
+    n_docs = index.total_docs
+
+    def weigh(counts):
+        idf = lambda t: retrieval._idf(n_docs, index.doc_freq.get(t, 0))  # noqa: E731
+        return retrieval._vector(counts, idf, index.keyword_count)
+
+    q = weigh(Counter(terms(query)))
+    scored = []
+    for ex in index.exemplars:
+        if exclude is not None and exclude(ex.doc_id, ex.seg_index):
+            continue
+        score = retrieval._score(q, weigh(ex.term_counts), alpha)[0]
+        if score > 0.0:
+            scored.append((score, ex))
     scored.sort(key=lambda item: (-item[0], item[1].doc_id, item[1].seg_index))
     return [ex for _s, ex in scored[:k]]
 
