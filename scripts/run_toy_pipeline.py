@@ -2,8 +2,9 @@
 """End-to-end demo on the bundled toy corpus.
 
 Writes every stage's data files, translates with the scripted mock
-backend, and scores the result, all into out/toy/. Everything is
-deterministic; run it twice and diff the outputs if you doubt it.
+backend, and scores the result, all into out/toy/, then checks the
+corpus. Everything is deterministic; run it twice and diff the outputs
+if you doubt it.
 """
 
 import sys
@@ -34,4 +35,5 @@ if __name__ == "__main__":
         "--config", CONFIG,
         "--out", OUT,
     ])
+    run(["validate", "--config", CONFIG])
     print(f"\nall outputs in {OUT}")

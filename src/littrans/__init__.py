@@ -1,7 +1,7 @@
 """Document-level literary machine translation toolkit.
 
 Pieces:
-  corpus        hierarchical bilingual corpus model + loaders/validation
+  corpus        hierarchical bilingual corpus model + validating loaders
   stages        training-data builders (paragraph packing, interlinear
                 documents, instruction records)
   retrieval     tf-idf / keyword style-exemplar search

@@ -31,15 +31,10 @@ EXIT_ALIGNMENT = 3
 
 def _load_corpus(config: RunConfig, use_test: bool = False) -> corpus_mod.Corpus:
     paths = config.corpus
-    if use_test and paths.test_records:
+    records = paths.test_records if use_test and paths.test_records else paths.records
+    if records:
         return corpus_mod.load_records(
-            config.resolve(paths.test_records),
-            language_pair=paths.language_pair,
-            source_name=paths.name,
-        )
-    if paths.records:
-        return corpus_mod.load_records(
-            config.resolve(paths.records),
+            config.resolve(records),
             language_pair=paths.language_pair,
             source_name=paths.name,
         )
@@ -192,18 +187,13 @@ def cmd_translate(
 
 
 def read_hypotheses(path: str | Path) -> dict[tuple[str, int], str]:
+    """Map (doc_id, seg_index) to hypothesis text; a malformed or repeated
+    record raises CorpusFormatError naming its line."""
     out: dict[tuple[str, int], str] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            try:
-                out[(rec["doc_id"], rec["seg_index"])] = rec["hypothesis"]
-            except KeyError as exc:
-                raise corpus_mod.CorpusFormatError(
-                    f"line {line_no}: hypothesis record missing {exc}"
-                ) from exc
+    lines: dict[tuple[str, int], int] = {}
+    for line_no, rec in corpus_mod.read_jsonl(path, ("doc_id", "hypothesis")):
+        corpus_mod.claim_segment(lines, line_no, rec["doc_id"], rec.get("seg_index"))
+        out[(rec["doc_id"], rec["seg_index"])] = rec["hypothesis"]
     return out
 
 
@@ -252,15 +242,12 @@ def cmd_validate(config: RunConfig) -> int:
     except corpus_mod.CorpusFormatError as exc:
         print(f"invalid corpus: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = corpus_mod.validate(corpus)
-    print(report)
-    if report.ok:
-        print(
-            f"{len(corpus.documents)} documents, {corpus.sentence_count} sentence pairs, "
-            f"{'parallel' if corpus.is_parallel else 'monolingual'}"
-        )
-        return EXIT_OK
-    return EXIT_CONFIG
+    print("corpus valid")
+    print(
+        f"{len(corpus.documents)} documents, {corpus.sentence_count} sentence pairs, "
+        f"{'parallel' if corpus.is_parallel else 'monolingual'}"
+    )
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

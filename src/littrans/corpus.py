@@ -1,9 +1,9 @@
 """Bilingual literary corpus model: novel -> chapter -> sentence pair.
 
 Corpora are immutable after construction and safe to share across threads.
-Loaders enforce the structural invariants (raising CorpusFormatError);
-``validate`` reports violations on arbitrary corpora without raising, so
-hand-built corpora can be checked too.
+The loaders are the only check of the structural invariants: each
+malformed structure raises CorpusFormatError naming the offending line
+or document, so every Corpus they return is valid.
 
 Record file format: UTF-8 JSONL, one object per line with fields
 ``doc_id`` (str), ``chapter_id`` (str, optional), ``seg_index`` (int,
@@ -15,7 +15,7 @@ normalization, so scores stay byte-faithful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -70,45 +70,51 @@ class Corpus:
     def sentence_count(self) -> int:
         return sum(d.sentence_count for d in self.documents)
 
-    def document(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.doc_id == doc_id:
-                return doc
-        raise KeyError(doc_id)
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    doc_id: str
-    chapter_id: str | None
-    seg_index: int | None
-    message: str
-
-    def __str__(self) -> str:
-        loc = self.doc_id
-        if self.chapter_id is not None:
-            loc += f"/{self.chapter_id}"
-        if self.seg_index is not None:
-            loc += f"#{self.seg_index}"
-        return f"{loc}: {self.message}"
-
-
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "corpus valid"
-        return "\n".join(str(i) for i in self.issues)
-
 
 def _trim(text: str) -> str:
     return text.rstrip("\r\n")
+
+
+def read_jsonl(path: str | Path, str_fields: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, record) for each non-blank line of a JSONL file.
+
+    Invalid JSON, a record that is not an object and a missing or
+    non-string field named in ``str_fields`` raise CorpusFormatError
+    naming the line.
+    """
+    with Path(path).open(encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise CorpusFormatError(f"line {line_no}: record must be an object")
+            for key in str_fields:
+                if not isinstance(rec.get(key), str):
+                    raise CorpusFormatError(f"line {line_no}: missing or non-string {key!r}")
+            yield line_no, rec
+
+
+def claim_segment(
+    seen: dict[tuple[str, int], int], line: int, doc_id: str, seg_index: object
+) -> None:
+    """Record in ``seen`` that ``line`` defines segment (doc_id, seg_index).
+
+    A seg_index that is not an integer (a bool is not) raises
+    CorpusFormatError, and so does a segment that an earlier line already
+    defined, with both lines named.
+    """
+    if not isinstance(seg_index, int) or isinstance(seg_index, bool):
+        raise CorpusFormatError(f"line {line}: seg_index must be an integer")
+    first = seen.setdefault((doc_id, seg_index), line)
+    if first != line:
+        raise CorpusFormatError(
+            f"line {line}: duplicate segment (doc_id={doc_id!r}, "
+            f"seg_index={seg_index}) already defined at line {first}"
+        )
 
 
 def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
@@ -124,17 +130,9 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
             f"line {line}: document {doc_id!r} mixes records with and without seg_index"
         )
     if with_seg:
-        seen: dict[int, int] = {}
+        seen: dict[tuple[str, int], int] = {}
         for line, rec in records:
-            seg = rec["seg_index"]
-            if not isinstance(seg, int) or isinstance(seg, bool):
-                raise CorpusFormatError(f"line {line}: seg_index must be an integer")
-            if seg in seen:
-                raise CorpusFormatError(
-                    f"line {line}: duplicate segment (doc_id={doc_id!r}, "
-                    f"seg_index={seg}) already defined at line {seen[seg]}"
-                )
-            seen[seg] = line
+            claim_segment(seen, line, doc_id, rec["seg_index"])
         records = sorted(records, key=lambda r: r[1]["seg_index"])
         indexes = [rec["seg_index"] for _, rec in records]
         if indexes != list(range(len(indexes))):
@@ -222,22 +220,10 @@ def load_records(
     """
     path = Path(path)
     docs: dict[str, list[tuple[int, dict]]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise CorpusFormatError(f"line {line_no}: record must be an object")
-            for key in ("doc_id", "source"):
-                if not isinstance(rec.get(key), str):
-                    raise CorpusFormatError(f"line {line_no}: missing or non-string {key!r}")
-            if rec.get("target") is not None and not isinstance(rec["target"], str):
-                raise CorpusFormatError(f"line {line_no}: non-string target")
-            docs.setdefault(rec["doc_id"], []).append((line_no, rec))
+    for line_no, rec in read_jsonl(path, ("doc_id", "source")):
+        if rec.get("target") is not None and not isinstance(rec["target"], str):
+            raise CorpusFormatError(f"line {line_no}: non-string target")
+        docs.setdefault(rec["doc_id"], []).append((line_no, rec))
     return _finish_corpus(docs, language_pair, source_name or path.name)
 
 
@@ -310,71 +296,3 @@ def write_records(corpus: Corpus, path: str | Path) -> None:
                 if pair.target is not None:
                     rec["target"] = pair.target
                 fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
-def validate(corpus: Corpus) -> ValidationReport:
-    """Check every type invariant; returns a report instead of raising."""
-    report = ValidationReport()
-    seen_docs: set[str] = set()
-    doc_has_target: dict[str, bool] = {}
-    for doc in corpus.documents:
-        if doc.doc_id in seen_docs:
-            report.issues.append(
-                ValidationIssue(doc.doc_id, None, None, "duplicate doc_id")
-            )
-        seen_docs.add(doc.doc_id)
-
-        pairs = list(doc.pairs())
-        indexes = [p.seg_index for p in pairs]
-        if sorted(indexes) != list(range(len(indexes))):
-            report.issues.append(
-                ValidationIssue(
-                    doc.doc_id, None, None,
-                    f"non-contiguous seg_index (got {sorted(indexes)})",
-                )
-            )
-        elif indexes != sorted(indexes):
-            report.issues.append(
-                ValidationIssue(
-                    doc.doc_id, None, None,
-                    "chapter order disagrees with seg_index order",
-                )
-            )
-        seen_chapters: set[str] = set()
-        for chapter in doc.chapters:
-            if chapter.chapter_id in seen_chapters:
-                report.issues.append(
-                    ValidationIssue(
-                        doc.doc_id, chapter.chapter_id, None,
-                        "chapter restarts after other chapters",
-                    )
-                )
-            seen_chapters.add(chapter.chapter_id)
-        for pair in pairs:
-            if not pair.source.strip():
-                report.issues.append(
-                    ValidationIssue(
-                        pair.doc_id, pair.chapter_id, pair.seg_index, "empty source"
-                    )
-                )
-        targets = [p.target is not None for p in pairs]
-        if any(targets) and not all(targets):
-            report.issues.append(
-                ValidationIssue(
-                    doc.doc_id, None, None,
-                    "document mixes pairs with and without targets",
-                )
-            )
-        if pairs:
-            doc_has_target[doc.doc_id] = all(targets)
-
-    if doc_has_target and not corpus.monolingual:
-        for doc_id, has in doc_has_target.items():
-            if not has:
-                report.issues.append(
-                    ValidationIssue(
-                        doc_id, None, None,
-                        "missing targets in a corpus not flagged monolingual",
-                    )
-                )
-    return report

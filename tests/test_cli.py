@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,36 @@ def test_evaluate_alignment_gap_exit_code(toy_config_path, toy_dir, translated, 
     assert code == 3
     err = capsys.readouterr().err
     assert "tower" in err and "1" in err
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("[1]", "record must be an object"),
+        ('"x"', "record must be an object"),
+        ('{"doc_id": "tower", "seg_index": 1, "hypothesis": null}', "'hypothesis'"),
+        ('{"doc_id": "tower", "seg_index": 1, "hypothesis": 7}', "'hypothesis'"),
+        ('{"doc_id": "tower", "seg_index": [1], "hypothesis": "h"}', "seg_index"),
+        (None, "duplicate segment .* already defined at line 1"),
+    ],
+    ids=["list", "string", "null-hypothesis", "numeric-hypothesis", "list-seg-index",
+         "duplicate"],
+)
+def test_evaluate_malformed_hypothesis_is_config_error(
+    toy_config_path, toy_dir, tmp_path, capsys, bad_line, message
+):
+    first = json.loads(read_lines(toy_dir / "corpus.jsonl").splitlines()[0])
+    good = json.dumps({**first, "hypothesis": first["target"]}, ensure_ascii=False)
+    hyps = tmp_path / "hyps.jsonl"
+    hyps.write_text(f"{good}\n{bad_line or good}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = run(["evaluate", str(hyps), str(toy_dir / "corpus.jsonl"),
+                "--config", toy_config_path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.search(f"line 2: .*{message}", err), err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("eval_*.json"))
 
 
 def test_config_output_dir_is_relative_to_config_file(toy_dir, tmp_path, monkeypatch):
