@@ -384,6 +384,36 @@ def test_evaluate_missing_file_is_config_error(toy_config_path, tmp_path, capsys
     assert "error:" in capsys.readouterr().err
 
 
+# --- every toy output pinned byte for byte ---
+
+@pytest.fixture(scope="module")
+def toy_outputs(toy_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy")
+    config = str(toy_dir / "config.yaml")
+    for args in (["prepare", "2"], ["prepare", "3"], ["prepare", "baseline"], ["translate"]):
+        assert run([*args, "--config", config, "--out", str(out)]) == 0
+    refs = str(toy_dir / "corpus.jsonl")
+    assert run(["evaluate", str(out / "hypotheses.jsonl"), refs,
+                "--config", config, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    "stage2_interlinear.txt",
+    "stage3_instructions.jsonl",
+    "baseline_instructions.jsonl",
+    "eval_sentence.json",
+    "eval_document.json",
+    "run_manifest.json",
+])
+def test_toy_output_matches_golden(toy_outputs, data_dir, name):
+    got = (toy_outputs / name).read_bytes()
+    if name == "run_manifest.json":
+        # the run's wall-clock timestamps are the only bytes that differ per run
+        got = re.sub(rb'\n  "(started|finished)": "[^"]*",', b"", got)
+    assert got == (data_dir / "golden" / name).read_bytes()
+
+
 def test_prepare_idempotent(toy_config_path, tmp_path):
     out = tmp_path / "out"
     for _ in range(2):
