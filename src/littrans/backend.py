@@ -12,7 +12,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import requests
 
@@ -156,6 +156,13 @@ class HttpBackendConfig:
     max_prompt_chars: int | None = None
     template: PromptTemplate = field(default_factory=PromptTemplate)
 
+    def __post_init__(self):
+        # the config loader builds this from the backend: section
+        if self.timeout <= 0:
+            raise ValueError("backend.timeout must be > 0")
+        if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
+            raise ValueError("backend.rate_limit_rps must be > 0")
+
 
 class HttpBackend(TranslationBackend):
     """Chat-completions client.
@@ -196,7 +203,7 @@ class HttpBackend(TranslationBackend):
                 {"role": "system", "content": prompt.system_text},
                 {
                     "role": "user",
-                    "content": render(prompt, self.config.template, include_system=False),
+                    "content": render(replace(prompt, system_text=""), self.config.template),
                 },
             ]
         if rendered is None:

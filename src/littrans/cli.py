@@ -90,7 +90,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
             joiner=config.stages.stage1_joiner,
         )
         path = out / "stage1_paragraphs.jsonl"
-        stages_mod.write_paragraph_units(units, path)
+        corpus_mod.write_jsonl(path, map(vars, units))
         flagged = sum(1 for u in units if u.over_budget)
         print(f"stage 1: {len(units)} paragraph units ({flagged} over budget) -> {path}")
         return EXIT_OK
@@ -112,7 +112,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
             index = _index_corpus(corpus, config)
         records = stages_mod.build_stage3_instructions(corpus, config.decoding, index)
         path = out / "stage3_instructions.jsonl"
-        stages_mod.write_instruction_records(records, path)
+        corpus_mod.write_jsonl(path, map(vars, records))
         print(f"stage 3: {len(records)} instruction records -> {path}")
         return EXIT_OK
     if stage == "baseline":
@@ -121,7 +121,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
             template = stages_mod.InstructionTemplate(config.stages.sentence_instruction)
         records = stages_mod.build_sentence_instructions(corpus, template)
         path = out / "baseline_instructions.jsonl"
-        stages_mod.write_instruction_records(records, path)
+        corpus_mod.write_jsonl(path, map(vars, records))
         print(f"baseline: {len(records)} instruction records -> {path}")
         return EXIT_OK
     raise ConfigError(f"unknown stage {stage!r}")
@@ -155,26 +155,19 @@ def cmd_translate(
 
     out = _out_dir(config)
     hyp_path = out / "hypotheses.jsonl"
-    with hyp_path.open("w", encoding="utf-8") as fh:
-        for result in results:
-            for trace, source, hyp in zip(result.traces, result.sources, result.hypotheses):
-                fh.write(
-                    json.dumps(
-                        {
-                            "doc_id": result.doc_id,
-                            "seg_index": trace.seg_index,
-                            "source": source,
-                            "hypothesis": hyp,
-                            "failed": trace.failed,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-    manifest_path = out / "run_manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest.to_dict(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
+    corpus_mod.write_jsonl(hyp_path, (
+        {
+            "doc_id": result.doc_id,
+            "seg_index": trace.seg_index,
+            "source": source,
+            "hypothesis": hyp,
+            "failed": trace.failed,
+        }
+        for result in results
+        for trace, source, hyp in zip(result.traces, result.sources, result.hypotheses)
+    ))
+    (out / "run_manifest.json").write_text(
+        json.dumps(asdict(manifest), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
     print(
         f"translated {manifest.translated_documents}/{manifest.documents} documents, "
@@ -221,15 +214,7 @@ def cmd_evaluate(hyp_path: str, ref_path: str, config: RunConfig) -> int:
             f"{report.segmentation:<14}{report.score:>8.2f}"
             f"{report.brevity_penalty:>8.3f}{report.hyp_length:>10}{report.ref_length:>10}"
         )
-        payload = {
-            "score": report.score,
-            "precisions": list(report.precisions),
-            "brevity_penalty": report.brevity_penalty,
-            "hyp_length": report.hyp_length,
-            "ref_length": report.ref_length,
-            "segmentation": report.segmentation,
-            "config": asdict(config.metrics),
-        }
+        payload = {**asdict(report), "config": asdict(config.metrics)}
         (out / f"{name}.json").write_text(
             json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
         )

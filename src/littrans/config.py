@@ -202,12 +202,12 @@ def load_config(
     template = _prompt_template(config)
     try:
         config.decoding = DecodingConfig(**values[DecodingConfig], template=template)
+        if config.loader.kind == "http":
+            if not values[HttpBackendConfig].get("base_url"):
+                raise ConfigError("backend.base_url is required for the http backend")
+            config.http = HttpBackendConfig(**values[HttpBackendConfig], template=template)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.loader.kind == "http":
-        if not values[HttpBackendConfig].get("base_url"):
-            raise ConfigError("backend.base_url is required for the http backend")
-        config.http = HttpBackendConfig(**values[HttpBackendConfig], template=template)
     return config
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class CorpusFormatError(Exception):
@@ -58,13 +58,10 @@ class Corpus:
     documents: tuple[Document, ...]
     language_pair: str = ""
     source_name: str = ""
-    monolingual: bool = False
 
     @property
     def is_parallel(self) -> bool:
-        return not self.monolingual and all(
-            p.target is not None for d in self.documents for p in d.pairs()
-        )
+        return all(p.target is not None for d in self.documents for p in d.pairs())
 
     @property
     def sentence_count(self) -> int:
@@ -191,7 +188,7 @@ def _finish_corpus(
     has_target = [
         next(iter(doc.pairs())).target is not None for doc in documents if doc.sentence_count
     ]
-    if has_target and any(has_target) and not all(has_target):
+    if any(has_target) and not all(has_target):
         missing = next(
             d.doc_id
             for d in documents
@@ -201,13 +198,7 @@ def _finish_corpus(
             f"corpus mixes parallel and target-less documents (e.g. {missing!r}); "
             f"split the file or add the missing targets"
         )
-    monolingual = bool(has_target) and not has_target[0]
-    return Corpus(
-        documents=documents,
-        language_pair=language_pair,
-        source_name=source_name,
-        monolingual=monolingual,
-    )
+    return Corpus(documents=documents, language_pair=language_pair, source_name=source_name)
 
 
 def load_records(
@@ -282,17 +273,22 @@ def load_line_aligned(
     return _finish_corpus(docs, language_pair, source_name or Path(src_path).name)
 
 
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write each row as one JSON object per line, UTF-8 with non-ASCII
+    text unescaped; the inverse of read_jsonl."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+
+
+def _record(pair: SentencePair) -> dict:
+    rec = dict(vars(pair))
+    if not pair.chapter_id:
+        del rec["chapter_id"]
+    if pair.target is None:
+        del rec["target"]
+    return rec
+
+
 def write_records(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus in the record format; load_records round-trips it."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            for pair in doc.pairs():
-                rec: dict = {"doc_id": pair.doc_id}
-                if pair.chapter_id:
-                    rec["chapter_id"] = pair.chapter_id
-                rec["seg_index"] = pair.seg_index
-                rec["source"] = pair.source
-                if pair.target is not None:
-                    rec["target"] = pair.target
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_jsonl(path, (_record(p) for d in corpus.documents for p in d.pairs()))

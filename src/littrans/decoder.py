@@ -254,9 +254,6 @@ class RunManifest:
     sentences: int
     failed_sentences: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def run_corpus(
     corpus: Corpus,

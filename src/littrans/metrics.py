@@ -20,6 +20,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 SMOOTHING_MODES = ("none", "exp-floor")
@@ -64,14 +66,6 @@ class BleuReport:
     hyp_length: int
     ref_length: int
     segmentation: str
-
-    def format_line(self) -> str:
-        precisions = "/".join(f"{100 * p:.1f}" for p in self.precisions)
-        return (
-            f"{self.segmentation[0]}-BLEU = {self.score:.2f} {precisions} "
-            f"(BP = {self.brevity_penalty:.3f} hyp_len = {self.hyp_length} "
-            f"ref_len = {self.ref_length})"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -253,11 +247,11 @@ def d_bleu(
     """Document-segmented BLEU: each document's sentences joined with
     single spaces form one segment."""
     keys = _check_alignment(hypotheses, references)
-    doc_ids = sorted({doc_id for doc_id, _ in keys})
     hyp_docs = []
     ref_docs = []
-    for doc_id in doc_ids:
-        segs = sorted(k for k in keys if k[0] == doc_id)
+    # sorted keys hold each document's segments as one run, in order
+    for _doc_id, group in groupby(keys, key=itemgetter(0)):
+        segs = list(group)
         hyp_docs.append(" ".join(hypotheses[k] for k in segs))
         ref_docs.append(" ".join(references[k] for k in segs))
     return corpus_bleu(hyp_docs, ref_docs, config, segmentation="document")

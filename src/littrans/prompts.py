@@ -116,9 +116,9 @@ class PromptSpec:
     current_source: str
 
 
-def render(spec: PromptSpec, template: PromptTemplate, include_system: bool = True) -> str:
+def render(spec: PromptSpec, template: PromptTemplate) -> str:
     """Deterministically render a PromptSpec to the prompt text."""
-    if include_system and spec.system_text:
+    if spec.system_text:
         system = template.system_section.format(system=spec.system_text)
     else:
         system = ""

@@ -14,10 +14,9 @@ No training happens here; everything is emitted as data files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .corpus import Corpus, Document
 from .decoder import DecodingConfig, build_prompt, exclude_at_or_after
@@ -30,6 +29,8 @@ Tokenizer = Callable[[str], int]
 DEFAULT_BUDGET = 1024
 
 
+# The fields of ParagraphUnit and InstructionRecord, in declaration order,
+# are the keys of their JSONL rows: the CLI writes vars(row) for each.
 @dataclass(frozen=True)
 class ParagraphUnit:
     doc_id: str
@@ -293,24 +294,6 @@ def build_stage3_instructions(
     return records
 
 
-def write_paragraph_units(units: Sequence[ParagraphUnit], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for u in units:
-            fh.write(
-                json.dumps(
-                    {
-                        "doc_id": u.doc_id,
-                        "chapter_id": u.chapter_id,
-                        "text": u.text,
-                        "token_count": u.token_count,
-                        "over_budget": u.over_budget,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
 def write_interlinear_file(docs: Iterable[InterlinearDocument], path: str | Path) -> None:
     """Documents serialized in order, separated by one blank line."""
     blocks = [format_interlinear(d) for d in docs]
@@ -325,17 +308,3 @@ def read_interlinear_file(path: str | Path) -> list[InterlinearDocument]:
             continue
         docs.append(parse_interlinear(block, doc_id=f"doc{len(docs):04d}"))
     return docs
-
-
-def write_instruction_records(
-    records: Sequence[InstructionRecord], path: str | Path
-) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {"instruction": r.instruction, "input": r.input, "output": r.output},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )

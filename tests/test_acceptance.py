@@ -125,7 +125,7 @@ def test_reduction_to_sentence_level():
             make_document(f"doc{d}", [random_words(rng, vocab, 2, 8) for _ in range(10)])
             for d in range(3)
         ]
-        corpus = make_corpus(docs, monolingual=True)
+        corpus = make_corpus(docs)
         config = DecodingConfig(history_size=0, exemplar_count=0, backoff_initial=0)
         template = config.template
         for doc in corpus.documents:
@@ -223,7 +223,7 @@ def test_stage1_coverage():
                 [" ".join([f"s{i}w{j}" for j in range(c)]) for i, c in enumerate(counts)],
                 chapter_breaks=breaks,
             )
-            corpus = make_corpus([doc], monolingual=True)
+            corpus = make_corpus([doc])
             units = build_stage1_paragraphs(corpus, budget=budget, tokenizer=counter)
             for chapter in doc.chapters:
                 chapter_units = [u for u in units if u.chapter_id == chapter.chapter_id]

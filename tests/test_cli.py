@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+import requests
 
 from littrans.cli import cmd_translate, main
 from littrans.config import ConfigError, load_config
@@ -167,6 +168,30 @@ def test_translate_missing_api_key_is_config_error(toy_config_path, tmp_path, mo
     ])
     assert code == 1
     assert "LITTRANS_TEST_KEY" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "backend.rate_limit_rps=0",
+    "backend.rate_limit_rps=-1",
+    "backend.timeout=0",
+    "backend.timeout=-1",
+])
+def test_nonpositive_http_rate_or_timeout_is_config_error(
+    toy_config_path, tmp_path, override, monkeypatch, capsys
+):
+    sent = []
+    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **kw: sent.append(a))
+    out = tmp_path / "out"
+    code = run([
+        "translate", "--config", toy_config_path, "--out", str(out),
+        "--set", "backend.kind=http",
+        "--set", "backend.base_url=http://127.0.0.1:1",
+        "--set", override,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{override.split('=')[0]} must be > 0" in err and "Traceback" not in err
+    assert sent == [] and not out.exists()
 
 
 def test_translate_abort_exit_code(toy_dir, tmp_path):

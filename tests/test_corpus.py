@@ -108,9 +108,7 @@ def test_mixed_targets_across_documents(tmp_path):
 def test_monolingual_flag(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [{"doc_id": "a", "seg_index": 0, "source": "s0"}])
-    corpus = load_records(path)
-    assert corpus.monolingual
-    assert not corpus.is_parallel
+    assert not load_records(path).is_parallel
 
 
 def test_implicit_chapter_and_file_order_seg_index(tmp_path):
@@ -192,8 +190,7 @@ def test_line_aligned_whitespace_only_source_is_error(tmp_path, with_target):
 
 def test_line_aligned_monolingual(tmp_path):
     (tmp_path / "s.txt").write_text("a\nb\n", encoding="utf-8")
-    corpus = load_line_aligned(tmp_path / "s.txt", None)
-    assert corpus.monolingual
+    assert not load_line_aligned(tmp_path / "s.txt", None).is_parallel
 
 
 # --- round trip and permutation properties ---
@@ -219,7 +216,7 @@ def corpora(draw, parallel=True):
             sentences.append((source, draw(texts)) if parallel else source)
         breaks = draw(st.sets(st.integers(1, max(1, n - 1)), max_size=2))
         docs.append(make_document(doc_id, sentences, chapter_breaks=breaks))
-    return make_corpus(docs, monolingual=not parallel)
+    return make_corpus(docs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,7 +226,7 @@ def test_record_round_trip(tmp_path_factory, corpus):
     write_records(corpus, path)
     loaded = load_records(path)
     assert loaded.documents == corpus.documents
-    assert loaded.monolingual == corpus.monolingual
+    assert loaded.is_parallel == corpus.is_parallel
 
 
 @settings(max_examples=40, deadline=None)

@@ -357,7 +357,7 @@ def corpus_two_docs():
     return make_corpus([
         make_document("a", ["a zero", "a one"]),
         make_document("b", ["b zero"]),
-    ], monolingual=True)
+    ])
 
 
 def test_run_corpus_parallelism_deterministic():
@@ -369,7 +369,7 @@ def test_run_corpus_parallelism_deterministic():
 
 
 def test_run_corpus_empty():
-    results, manifest = run_corpus(make_corpus([], monolingual=True), IdentityBackend(), config=fast())
+    results, manifest = run_corpus(make_corpus([]), IdentityBackend(), config=fast())
     assert results == []
     assert manifest.documents == 0
     assert manifest.started <= manifest.finished
@@ -381,7 +381,7 @@ def test_run_corpus_one_abort_of_three():
         make_document("a", ["a zero"]),
         make_document("b", ["b zero"]),
         make_document("c", ["c zero"]),
-    ], monolingual=True)
+    ])
     script = {
         "a zero": "A",
         "b zero": [{"error": "network"}],
@@ -417,9 +417,7 @@ def test_run_corpus_unexpected_error_starts_no_further_document():
     # the failure comes after the caller is already waiting on document a,
     # so the worker could dequeue document b before the caller reacts
     sentences = {d: [f"{d} {i}" for i in range(30)] for d in "abcd"}
-    corpus = make_corpus(
-        [make_document(d, s) for d, s in sentences.items()], monolingual=True
-    )
+    corpus = make_corpus([make_document(d, s) for d, s in sentences.items()])
     for _ in range(5):
         backend = FailOnBackend("a 29")
         with pytest.raises(RuntimeError, match="backend bug"):
@@ -428,7 +426,7 @@ def test_run_corpus_unexpected_error_starts_no_further_document():
 
 
 def test_manifest_counts_failures():
-    corpus = make_corpus([make_document("a", ["a zero", "a one"])], monolingual=True)
+    corpus = make_corpus([make_document("a", ["a zero", "a one"])])
     script = {"a zero": [{"error": "network"}], "a one": "fine"}
     results, manifest = run_corpus(
         corpus, ScriptedBackend(script), config=fast(max_attempts=1)

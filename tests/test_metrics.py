@@ -270,9 +270,3 @@ def test_character_mode_scores_cjk():
     assert report.score == pytest.approx(100.0)
     partial = corpus_bleu(["山风吹过平原"], ["山风吹过高原"], config)
     assert 0 < partial.score < 100
-
-
-def test_report_format_line():
-    report = corpus_bleu(["a b c d e"], ["a b c d f"], BleuConfig(smoothing="none"))
-    line = report.format_line()
-    assert "66.87" in line and "BP = 1.000" in line

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from littrans.prompts import (
@@ -51,7 +53,7 @@ def test_context_and_exemplar_sections():
 
 def test_render_without_system():
     template = PromptTemplate()
-    rendered = render(spec_with(), template, include_system=False)
+    rendered = render(replace(spec_with(), system_text=""), template)
     assert not rendered.startswith("SYS")
     assert render(spec_with(), template).startswith("SYS")
 

@@ -36,7 +36,7 @@ def doc_of_counts(doc_id, counts, word="w"):
 # --- stage 1 ---
 
 def test_stage1_single_sentence():
-    corpus = make_corpus([make_document("a", ["hello world"])], monolingual=True)
+    corpus = make_corpus([make_document("a", ["hello world"])])
     units = build_stage1_paragraphs(corpus, budget=10, tokenizer=word_counter)
     assert len(units) == 1
     assert units[0].text == "hello world"
@@ -46,7 +46,7 @@ def test_stage1_single_sentence():
 
 def test_stage1_greedy_packing():
     # oracle: hand-run greedy packing of [4,4,4] under budget 8 -> [0,1], [2]
-    corpus = make_corpus([doc_of_counts("a", [4, 4, 4])], monolingual=True)
+    corpus = make_corpus([doc_of_counts("a", [4, 4, 4])])
     units = build_stage1_paragraphs(corpus, budget=8, tokenizer=word_counter)
     assert [u.token_count for u in units] == [8, 4]
     assert units[0].text == "w0 w0 w0 w0 w1 w1 w1 w1"
@@ -54,34 +54,34 @@ def test_stage1_greedy_packing():
 
 def test_stage1_never_packs_across_chapters():
     doc = make_document("a", ["one", "two"], chapter_breaks={1})
-    corpus = make_corpus([doc], monolingual=True)
+    corpus = make_corpus([doc])
     units = build_stage1_paragraphs(corpus, budget=1000, tokenizer=word_counter)
     assert len(units) == 2
     assert [u.chapter_id for u in units] == ["c0", "c1"]
 
 
 def test_stage1_oversized_sentence_flagged():
-    corpus = make_corpus([doc_of_counts("a", [2, 9, 2])], monolingual=True)
+    corpus = make_corpus([doc_of_counts("a", [2, 9, 2])])
     units = build_stage1_paragraphs(corpus, budget=4, tokenizer=word_counter)
     assert [u.token_count for u in units] == [2, 9, 2]
     assert [u.over_budget for u in units] == [False, True, False]
 
 
 def test_stage1_empty_corpus():
-    assert build_stage1_paragraphs(make_corpus([], monolingual=True)) == []
+    assert build_stage1_paragraphs(make_corpus([])) == []
 
 
 def test_stage1_side_target():
     corpus = make_corpus([make_document("a", [("s", "t one"), ("s2", "t two")])])
     units = build_stage1_paragraphs(corpus, side="target", budget=100, tokenizer=word_counter)
     assert units[0].text == "t one t two"
-    mono = make_corpus([make_document("a", ["s"])], monolingual=True)
+    mono = make_corpus([make_document("a", ["s"])])
     with pytest.raises(ValueError):
         build_stage1_paragraphs(mono, side="target")
 
 
 def test_stage1_cjk_joiner_auto():
-    corpus = make_corpus([make_document("a", ["山风吹过", "高原之上"])], monolingual=True)
+    corpus = make_corpus([make_document("a", ["山风吹过", "高原之上"])])
     units = build_stage1_paragraphs(corpus, budget=100)
     assert units[0].text == "山风吹过高原之上"
     assert units[0].token_count == count_tokens(units[0].text) == 8
@@ -101,7 +101,7 @@ def test_stage1_partition_property(counts, budget, breaks):
         [" ".join([f"s{i}"] * c) for i, c in enumerate(counts)],
         chapter_breaks={b for b in breaks if b < len(counts)},
     )
-    corpus = make_corpus([doc], monolingual=True)
+    corpus = make_corpus([doc])
     units = build_stage1_paragraphs(corpus, budget=budget, tokenizer=word_counter)
     for chapter in doc.chapters:
         chapter_units = [u for u in units if u.chapter_id == chapter.chapter_id]
@@ -217,7 +217,7 @@ def test_stage2_greedy_packing():
 
 
 def test_stage2_requires_parallel():
-    mono = make_corpus([make_document("a", ["s"])], monolingual=True)
+    mono = make_corpus([make_document("a", ["s"])])
     with pytest.raises(ValueError, match="parallel"):
         build_stage2_documents(mono)
 
@@ -340,7 +340,7 @@ def test_stage3_exemplars_exclude_future():
 
 
 def test_stage3_requires_parallel():
-    mono = make_corpus([make_document("a", ["s"])], monolingual=True)
+    mono = make_corpus([make_document("a", ["s"])])
     with pytest.raises(ValueError, match="parallel"):
         build_stage3_instructions(mono, stage3_config(), build_index([]))
 

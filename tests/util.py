@@ -163,8 +163,8 @@ def make_document(doc_id, sentences, chapter_breaks=(), chapter_prefix="c"):
     return Document(doc_id=doc_id, chapters=tuple(chapters))
 
 
-def make_corpus(docs, monolingual=False, **meta):
-    return Corpus(documents=tuple(docs), monolingual=monolingual, **meta)
+def make_corpus(docs, **meta):
+    return Corpus(documents=tuple(docs), **meta)
 
 
 def random_words(rng: random.Random, vocab, low=1, high=8):
