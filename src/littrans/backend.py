@@ -83,27 +83,39 @@ class ScriptedBackend(TranslationBackend):
 
     Script values are either a plain output string or a list of attempt
     steps, each ``{"text": ...}`` or ``{"error": kind}``; the final step is
-    replayed if attempts continue past the script's end. Attempt counters
-    are per source and thread-safe, so documents can run concurrently as
-    long as their sources differ.
+    replayed if attempts continue past the script's end. The whole script
+    is checked when the backend is built; a malformed entry raises
+    ValueError naming its source. Attempt counters are per source and
+    thread-safe, so documents can run concurrently as long as their sources
+    differ.
     """
 
     capabilities = BackendCapabilities(name="scripted")
 
     def __init__(self, script: dict[str, str | list]):
-        self.script = {
-            src: [{"text": steps}] if isinstance(steps, str) else list(steps)
-            for src, steps in script.items()
-        }
-        for src, steps in self.script.items():
+        if not isinstance(script, dict):
+            raise ValueError("backend script must be an object mapping each source to its steps")
+        self.script: dict[str, list] = {}
+        for src, steps in script.items():
+            if isinstance(steps, str):
+                steps = [{"text": steps}]
+            if not isinstance(steps, list) or not steps:
+                raise ValueError(
+                    f"script entry for {src!r}: expected a string or a non-empty list of steps"
+                )
             for step in steps:
                 if not isinstance(step, dict) or not ({"text", "error"} & set(step)):
                     raise ValueError(
                         f"script entry for {src!r}: each step needs 'text' or 'error'"
                     )
+                if not isinstance(step.get("text", ""), str):
+                    raise ValueError(f"script entry for {src!r}: step text must be a string")
+                kind = step.get("error")
+                if "error" in step and not (isinstance(kind, str) and kind in _RETRYABLE):
+                    raise ValueError(f"script entry for {src!r}: unknown error kind {kind!r}")
+            self.script[src] = steps
         self._calls: dict[str, int] = {}
         self._lock = threading.Lock()
-        self.total_calls = 0
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
@@ -117,7 +129,6 @@ class ScriptedBackend(TranslationBackend):
         with self._lock:
             attempt = self._calls.get(source, 0)
             self._calls[source] = attempt + 1
-            self.total_calls += 1
         steps = self.script[source]
         step = steps[min(attempt, len(steps) - 1)]
         if "error" in step:

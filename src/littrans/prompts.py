@@ -54,14 +54,24 @@ _REQUIRED = {
 }
 
 
-def placeholders(template: str) -> set[str]:
+def check_template(name: str, text: str, allowed: set[str], required: set[str]) -> None:
+    """Raise TemplateError unless text is a well-formed format string whose
+    named placeholders include every required one and no others than
+    allowed; name is the template's name in the message."""
     try:
-        names = {f for _, f, _, _ in Formatter().parse(template) if f is not None}
+        found = {f for _, f, _, _ in Formatter().parse(text) if f is not None}
     except ValueError as exc:
         raise TemplateError(f"malformed template: {exc}") from exc
-    if "" in names:
+    if "" in found:
         raise TemplateError("positional placeholders like {} are not allowed")
-    return names
+    missing = required - found
+    if missing:
+        raise TemplateError(
+            f"{name} template is missing required placeholder {{{missing.pop()}}}"
+        )
+    unknown = found - allowed
+    if unknown:
+        raise TemplateError(f"{name} template uses unknown placeholder {{{unknown.pop()}}}")
 
 
 @dataclass(frozen=True)
@@ -76,19 +86,9 @@ class PromptTemplate:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name == "system":
-                continue
-            found = placeholders(getattr(self, f.name))
-            missing = _REQUIRED[f.name] - found
-            if missing:
-                raise TemplateError(
-                    f"{f.name} template is missing required placeholder "
-                    f"{{{missing.pop()}}}"
-                )
-            unknown = found - _ALLOWED[f.name]
-            if unknown:
-                raise TemplateError(
-                    f"{f.name} template uses unknown placeholder {{{unknown.pop()}}}"
+            if f.name != "system":
+                check_template(
+                    f.name, getattr(self, f.name), _ALLOWED[f.name], _REQUIRED[f.name]
                 )
 
 

@@ -2,12 +2,14 @@
 
 Stage 1 packs chapter sentences into paragraph units under a token budget
 (monolingual pre-training data). Stage 2 packs aligned sentence pairs into
-interlinear documents (bilingual pre-training data). Stage 3 renders
-context- and exemplar-augmented instruction records whose prompts come from
-the decoder's own assembler, decoder.build_prompt, and the shared renderer,
-so a training prompt is the inference prompt with reference targets in the
-place of hypotheses. A plain sentence-level instruction
-builder covers the non-contextual baseline.
+interlinear documents (bilingual pre-training data). Both use the one
+greedy packer, _pack. Stage 3 renders context- and exemplar-augmented
+instruction records whose prompts come from the decoder's own assembler,
+decoder.build_prompt, and the shared renderer, so a training prompt is the
+inference prompt with reference targets in the place of hypotheses. A plain
+sentence-level instruction builder covers the non-contextual baseline.
+Stage 3 and the baseline both walk the corpus with _reference_pairs, the one
+teacher-forced walk over reference pairs.
 
 No training happens here; everything is emitted as data files.
 """
@@ -16,15 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, SentencePair
 from .decoder import DecodingConfig, build_prompt, exclude_at_or_after
-from .prompts import ContextEntry, TemplateError, placeholders, render
+from .prompts import ContextEntry, check_template, render
 from .retrieval import ExemplarIndex, top_k
 from .tokenization import cjk_ratio, count_tokens
 
 Tokenizer = Callable[[str], int]
+T = TypeVar("T")
 
 DEFAULT_BUDGET = 1024
 
@@ -61,16 +64,7 @@ class InstructionTemplate:
     instruction: str
 
     def __post_init__(self):
-        found = placeholders(self.instruction)
-        if "source" not in found:
-            raise TemplateError(
-                "instruction template is missing required placeholder {source}"
-            )
-        if found - {"source"}:
-            raise TemplateError(
-                f"instruction template uses unknown placeholder "
-                f"{{{(found - {'source'}).pop()}}}"
-            )
+        check_template("instruction", self.instruction, {"source"}, {"source"})
 
 
 DEFAULT_SENTENCE_INSTRUCTION = InstructionTemplate(
@@ -81,6 +75,36 @@ DEFAULT_SENTENCE_INSTRUCTION = InstructionTemplate(
 def _require_parallel(corpus: Corpus, what: str) -> None:
     if not corpus.is_parallel:
         raise ValueError(f"{what} requires a fully parallel corpus")
+
+
+def _pack(items: Iterable[T], too_big: Callable[[list[T]], bool]) -> Iterator[list[T]]:
+    """Greedy packing in order: each item joins the open group unless the
+    group with it would be too big. An item too big on its own forms its
+    own group. No items give no groups."""
+    group: list[T] = []
+    for item in items:
+        if group and too_big(group + [item]):
+            yield group
+            group = []
+        group.append(item)
+    if group:
+        yield group
+
+
+def _reference_pairs(
+    corpus: Corpus, what: str
+) -> Iterator[tuple[Document, SentencePair, Sequence[ContextEntry]]]:
+    """Teacher-forced walk over a parallel corpus: yields (doc, pair, done)
+    in corpus order, done being the document's earlier pairs with their
+    reference targets. A blank target is an error."""
+    _require_parallel(corpus, what)
+    for doc in corpus.documents:
+        done: list[ContextEntry] = []
+        for pair in doc.pairs():
+            if not pair.target.strip():
+                raise ValueError(f"{doc.doc_id}#{pair.seg_index}: empty target")
+            yield doc, pair, done
+            done.append(ContextEntry(pair.seg_index, pair.source, pair.target))
 
 
 def build_stage1_paragraphs(
@@ -102,26 +126,18 @@ def build_stage1_paragraphs(
         raise ValueError("side must be 'source' or 'target'")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if side == "target":
+        _require_parallel(corpus, "stage 1 on the target side")
     units: list[ParagraphUnit] = []
     for doc in corpus.documents:
         for chapter in doc.chapters:
-            texts = []
-            for pair in chapter.pairs:
-                text = pair.source if side == "source" else pair.target
-                if text is None:
-                    raise ValueError(
-                        f"{doc.doc_id}#{pair.seg_index} has no target text"
-                    )
-                texts.append(text)
-            if not texts:
-                continue
+            texts = [pair.source if side == "source" else pair.target for pair in chapter.pairs]
             if joiner is None:
                 sep = "" if cjk_ratio("".join(texts)) > 0.5 else " "
             else:
                 sep = joiner
-
-            def emit(sentences: list[str]) -> None:
-                text = sep.join(sentences)
+            for group in _pack(texts, lambda g: tokenizer(sep.join(g)) > budget):
+                text = sep.join(group)
                 count = tokenizer(text)
                 units.append(
                     ParagraphUnit(
@@ -132,16 +148,6 @@ def build_stage1_paragraphs(
                         over_budget=count > budget,
                     )
                 )
-
-            pending: list[str] = []
-            for text in texts:
-                if pending and tokenizer(sep.join(pending + [text])) > budget:
-                    emit(pending)
-                    pending = [text]
-                else:
-                    pending.append(text)
-            if pending:
-                emit(pending)
     return units
 
 
@@ -197,34 +203,21 @@ def build_stage2_documents(
     _require_parallel(corpus, "stage 2")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+
+    def cost(group: list[tuple[SentencePair, int]]) -> int:
+        return sum(c for _, c in group)
+
     docs: list[InterlinearDocument] = []
     for doc in corpus.documents:
-        part = 0
-        pending: list[tuple[str, str]] = []
-        pending_tokens = 0
-
-        def emit(pairs: list[tuple[str, str]], tokens: int) -> None:
-            nonlocal part
+        priced = ((p, tokenizer(p.source) + tokenizer(p.target)) for p in doc.pairs())
+        for part, group in enumerate(_pack(priced, lambda g: cost(g) > budget)):
             docs.append(
                 InterlinearDocument(
                     doc_id=f"{doc.doc_id}#p{part}",
-                    pairs=tuple(pairs),
-                    over_budget=tokens > budget,
+                    pairs=tuple((p.source, p.target) for p, _ in group),
+                    over_budget=cost(group) > budget,
                 )
             )
-            part += 1
-
-        for pair in doc.pairs():
-            assert pair.target is not None
-            cost = tokenizer(pair.source) + tokenizer(pair.target)
-            if pending and pending_tokens + cost > budget:
-                emit(pending, pending_tokens)
-                pending = []
-                pending_tokens = 0
-            pending.append((pair.source, pair.target))
-            pending_tokens += cost
-        if pending:
-            emit(pending, pending_tokens)
     return docs
 
 
@@ -233,21 +226,14 @@ def build_sentence_instructions(
     template: InstructionTemplate = DEFAULT_SENTENCE_INSTRUCTION,
 ) -> list[InstructionRecord]:
     """One plain record per pair: no context, no exemplars."""
-    _require_parallel(corpus, "sentence instruction data")
-    records = []
-    for doc in corpus.documents:
-        for pair in doc.pairs():
-            assert pair.target is not None
-            if not pair.target.strip():
-                raise ValueError(f"{doc.doc_id}#{pair.seg_index}: empty target")
-            records.append(
-                InstructionRecord(
-                    instruction=template.instruction.format(source=pair.source),
-                    input=pair.source,
-                    output=pair.target,
-                )
-            )
-    return records
+    return [
+        InstructionRecord(
+            instruction=template.instruction.format(source=pair.source),
+            input=pair.source,
+            output=pair.target,
+        )
+        for _, pair, _ in _reference_pairs(corpus, "sentence instruction data")
+    ]
 
 
 def build_stage3_instructions(
@@ -264,33 +250,26 @@ def build_stage3_instructions(
     targets as the finished pairs, so training and inference see identical
     text.
     """
-    _require_parallel(corpus, "stage 3")
     cfg = decoding_config
     records = []
-    for doc in corpus.documents:
-        done: list[ContextEntry] = []
-        for pair in doc.pairs():
-            assert pair.target is not None
-            if not pair.target.strip():
-                raise ValueError(f"{doc.doc_id}#{pair.seg_index}: empty target")
-            hits = []
-            if cfg.exemplar_count > 0:
-                hits = top_k(
-                    pair.source,
-                    index,
-                    cfg.exemplar_count,
-                    exclude=exclude_at_or_after(doc.doc_id, pair.seg_index),
-                    alpha=cfg.similarity_alpha,
-                )
-            spec = build_prompt(doc.doc_id, done, pair.source, hits, cfg)
-            records.append(
-                InstructionRecord(
-                    instruction=render(spec, cfg.template),
-                    input="",
-                    output=pair.target,
-                )
+    for doc, pair, done in _reference_pairs(corpus, "stage 3"):
+        hits = []
+        if cfg.exemplar_count > 0:
+            hits = top_k(
+                pair.source,
+                index,
+                cfg.exemplar_count,
+                exclude=exclude_at_or_after(doc.doc_id, pair.seg_index),
+                alpha=cfg.similarity_alpha,
             )
-            done.append(ContextEntry(pair.seg_index, pair.source, pair.target))
+        spec = build_prompt(doc.doc_id, done, pair.source, hits, cfg)
+        records.append(
+            InstructionRecord(
+                instruction=render(spec, cfg.template),
+                input="",
+                output=pair.target,
+            )
+        )
     return records
 
 

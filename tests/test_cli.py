@@ -215,6 +215,33 @@ def test_translate_abort_exit_code(toy_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("script, named", [
+    ([1], "backend script"),
+    ("abc", "backend script"),
+    ({"山风吹过高原。": 5}, "山风吹过高原。"),
+    ({"山风吹过高原。": []}, "山风吹过高原。"),
+    ({"山风吹过高原。": [{"text": 5}]}, "山风吹过高原。"),
+    ({"山风吹过高原。": [{"error": "bogus"}]}, "山风吹过高原。"),
+], ids=["root-list", "root-string", "value-int", "value-empty", "text-int", "error-unknown"])
+def test_malformed_backend_script_is_config_error(
+    toy_dir, toy_config_path, tmp_path, script, named, capsys
+):
+    if isinstance(script, dict):
+        toy_script = json.loads((toy_dir / "backend_script.json").read_text(encoding="utf-8"))
+        script = {**toy_script, **script}
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run([
+        "translate", "--config", toy_config_path, "--out", str(out),
+        "--set", f"backend.script_file={script_path}",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (out / "hypotheses.jsonl").exists()
+
+
 @pytest.mark.parametrize("fallback", ["copy_source", "abort"])
 def test_translate_zero_retry_is_config_error(toy_config_path, tmp_path, fallback, capsys):
     code = run([

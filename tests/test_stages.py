@@ -1,13 +1,15 @@
+import inspect
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littrans import stages
 from littrans.backend import TableBackend
 from littrans.decoder import DecodingConfig, translate_document
 from littrans.prompts import PromptTemplate, TemplateError
-from littrans.retrieval import build_index, pool_from_pairs
+from littrans.retrieval import build_index, pool_from_pairs, top_k
 from littrans.stages import (
     InstructionTemplate,
     InterlinearDocument,
@@ -76,7 +78,7 @@ def test_stage1_side_target():
     units = build_stage1_paragraphs(corpus, side="target", budget=100, tokenizer=word_counter)
     assert units[0].text == "t one t two"
     mono = make_corpus([make_document("a", ["s"])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parallel"):
         build_stage1_paragraphs(mono, side="target")
 
 
@@ -372,3 +374,27 @@ def test_stage3_instruction_is_the_decoder_prompt():
     assert capture.rendered == [r.instruction for r in records]
     assert any(s.context_block for s in capture.specs)
     assert any(s.exemplar_block for s in capture.specs)
+
+
+# --- hooks the benchmark's tracer patches ---
+
+def test_stage3_calls_module_top_k_once_per_pair_query_first(toy_corpus, monkeypatch):
+    # the benchmark's prepare workload probes littrans.stages.top_k by its
+    # first argument, so stage 3 must look it up there, once per pair
+    queries = []
+
+    def recorder(query, *args, **kwargs):
+        queries.append(query)
+        return top_k(query, *args, **kwargs)
+
+    monkeypatch.setattr(stages, "top_k", recorder)
+    pairs = [p for d in toy_corpus.documents for p in d.pairs()]
+    index = build_index(pool_from_pairs(pairs))
+    build_stage3_instructions(toy_corpus, stage3_config(k=1), index)
+    assert queries == [p.source for p in pairs]
+
+
+def test_packers_default_tokenizer_is_count_tokens():
+    # the benchmark's tracer counts tokenizer calls by patching this default
+    for build in (build_stage1_paragraphs, build_stage2_documents):
+        assert inspect.signature(build).parameters["tokenizer"].default is count_tokens
