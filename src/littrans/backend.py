@@ -13,6 +13,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from urllib.parse import urlsplit
 
 import requests
 
@@ -155,7 +156,7 @@ class _RateLimiter:
 
 @dataclass
 class HttpBackendConfig:
-    base_url: str
+    base_url: str = ""
     model: str = ""
     path: str = "/v1/chat/completions"
     api_key_env: str | None = None
@@ -169,6 +170,16 @@ class HttpBackendConfig:
 
     def __post_init__(self):
         # the config loader builds this from the backend: section
+        try:
+            url = urlsplit(self.base_url)
+            valid = url.scheme in ("http", "https") and bool(url.hostname)
+            url.port  # raises on a port that is not a number in range
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"backend.base_url must be an http(s) URL with a host, got {self.base_url!r}"
+            )
         if self.timeout <= 0:
             raise ValueError("backend.timeout must be > 0")
         if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
@@ -279,8 +290,12 @@ class HttpBackend(TranslationBackend):
 
 def _looks_like_context_overflow(resp: requests.Response) -> bool:
     try:
-        err = resp.json().get("error", {})
-        blob = (str(err.get("code", "")) + " " + str(err.get("message", ""))).lower()
+        body = resp.json()
     except ValueError:
+        body = None
+    err = body.get("error", {}) if isinstance(body, dict) else None
+    if isinstance(err, dict):
+        blob = (str(err.get("code", "")) + " " + str(err.get("message", ""))).lower()
+    else:  # not JSON, or not the usual {"error": {...}}: read the raw text
         blob = resp.text.lower()
     return "context" in blob and ("length" in blob or "window" in blob) or "too many tokens" in blob

@@ -127,18 +127,11 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
     raise ConfigError(f"unknown stage {stage!r}")
 
 
-def cmd_translate(
-    config: RunConfig,
-    dry_run: bool = False,
-    backend_override: backend_mod.TranslationBackend | None = None,
-) -> int:
+def cmd_translate(config: RunConfig, dry_run: bool = False) -> int:
     corpus = _load_corpus(config, use_test=True)
-    if dry_run:
-        # never touches the configured backend; an internal echo stands in
-        # so the incremental loop can still advance
-        backend = backend_mod.IdentityBackend()
-    else:
-        backend = backend_override or _build_backend(config)
+    # a dry run never touches the configured backend; an internal echo
+    # stands in so the incremental loop can still advance
+    backend = backend_mod.IdentityBackend() if dry_run else _build_backend(config)
     index = _build_exemplar_index(config)
 
     results, manifest = decoder_mod.run_corpus(

@@ -203,8 +203,6 @@ def load_config(
     try:
         config.decoding = DecodingConfig(**values[DecodingConfig], template=template)
         if config.loader.kind == "http":
-            if not values[HttpBackendConfig].get("base_url"):
-                raise ConfigError("backend.base_url is required for the http backend")
             config.http = HttpBackendConfig(**values[HttpBackendConfig], template=template)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -149,13 +149,17 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
         if not source.strip():
             raise CorpusFormatError(f"line {line}: empty source text")
         target = rec.get("target")
+        if target is not None:
+            target = _trim(target)
+            if not target.strip():
+                raise CorpusFormatError(f"line {line}: empty target text")
         pairs.append(
             SentencePair(
                 doc_id=doc_id,
                 chapter_id=str(rec.get("chapter_id", "") or ""),
                 seg_index=seg,
                 source=source,
-                target=_trim(target) if target is not None else None,
+                target=target,
             )
         )
 

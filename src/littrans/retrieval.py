@@ -7,8 +7,9 @@ combined as ``alpha * cosine + (1 - alpha) * jaccard``.
 ExemplarIndex is the one pool type. It grows by append, which splits the
 source into terms once, keeps its term counts, updates the document
 frequencies and adds (position, count) to the postings of each term. Every
-append changes N and so every idf: it drops the idf table and the exemplar
-vectors, and each is computed again the first time a query needs it.
+append changes N and so every idf: it drops only the exemplar vectors, each
+weighed again the first time a query needs it. An idf is never stored; it is
+computed where it is used, from N and the term's document frequency.
 
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
@@ -86,25 +87,6 @@ def _vector(
     return weights, _norm(weights), frozenset(_top_terms(weights, keyword_count))
 
 
-class _IdfTable(dict):
-    """idf of each term under one N, computed at first use. Terms outside
-    the pool are not kept, so a query never writes a full table. Holds the
-    index's frequency table, never the index: no reference cycle keeps a
-    dropped index alive."""
-
-    def __init__(self, total_docs: int, doc_freq: Mapping[str, int]):
-        super().__init__()
-        self.total_docs = total_docs
-        self.doc_freq = doc_freq
-
-    def __missing__(self, term: str) -> float:
-        df = self.doc_freq.get(term, 0)
-        idf = _idf(self.total_docs, df)
-        if df:
-            self[term] = idf
-        return idf
-
-
 class ExemplarIndex:
     """Searchable pool of exemplars with its term statistics, grown by
     append."""
@@ -119,8 +101,7 @@ class ExemplarIndex:
         # per exemplar: sum of squared term counts, number of keywords
         self._count_squares: list[int] = []
         self._keyword_sizes: list[int] = []
-        # caches under the current N, dropped by append
-        self._idf = _IdfTable(0, self.doc_freq)
+        # exemplar vectors under the current N, dropped by append
         self._vectors: dict[int, _Vector] = {}
 
     @property
@@ -139,20 +120,12 @@ class ExemplarIndex:
             self._postings.setdefault(t, []).append((position, c))
         self._count_squares.append(sum(c * c for c in counts.values()))
         self._keyword_sizes.append(min(self.keyword_count, len(counts)))
-        self._idf = _IdfTable(len(self.exemplars), self.doc_freq)
         self._vectors = {}
         return ex
 
-    def idf(self, term: str) -> float:
-        return self._idf[term]
-
-    def weights(self, text: str) -> dict[str, float]:
-        """tf-idf vector of arbitrary text under this index's statistics,
-        in first-occurrence order."""
-        return self._weigh(Counter(terms(text)))[0]
-
     def _weigh(self, counts: Mapping[str, int]) -> _Vector:
-        return _vector(counts, self._idf.__getitem__, self.keyword_count)
+        n, doc_freq = len(self.exemplars), self.doc_freq
+        return _vector(counts, lambda t: _idf(n, doc_freq[t]), self.keyword_count)
 
     def _vector_at(self, position: int) -> _Vector:
         """One exemplar's vector under the current N, weighed at first use."""
@@ -182,7 +155,7 @@ class ExemplarIndex:
             postings = self._postings.get(t)
             if postings is None:
                 continue
-            idf = self._idf[t]
+            idf = _idf(n, self.doc_freq[t])
             keyword = t in q_keywords
             for position, c in postings:
                 w = c * idf
@@ -206,14 +179,6 @@ class ExemplarIndex:
                 if bound > 0.0:  # 0 only at alpha 0 without a query keyword: scores 0
                     bounds[position] = bound
         return bounds
-
-
-def extract_keywords(sentence: str, index: ExemplarIndex, m: int) -> list[str]:
-    """Up to m distinct terms with highest tf-idf weight, ties broken by
-    first occurrence in the sentence."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _top_terms(index.weights(sentence), m)
 
 
 def build_index(

@@ -96,13 +96,11 @@ def _reference_pairs(
 ) -> Iterator[tuple[Document, SentencePair, Sequence[ContextEntry]]]:
     """Teacher-forced walk over a parallel corpus: yields (doc, pair, done)
     in corpus order, done being the document's earlier pairs with their
-    reference targets. A blank target is an error."""
+    reference targets."""
     _require_parallel(corpus, what)
     for doc in corpus.documents:
         done: list[ContextEntry] = []
         for pair in doc.pairs():
-            if not pair.target.strip():
-                raise ValueError(f"{doc.doc_id}#{pair.seg_index}: empty target")
             yield doc, pair, done
             done.append(ContextEntry(pair.seg_index, pair.source, pair.target))
 

@@ -192,12 +192,21 @@ def test_http_missing_choices_is_protocol(stub):
 
 
 def test_http_context_length_rejection_is_overlong(stub):
-    stub.enqueue(400, {"error": {"code": "context_length_exceeded",
-                                 "message": "maximum context length exceeded"}})
-    with pytest.raises(BackendError) as err:
-        http_backend(stub).translate(spec())
-    assert err.value.kind == "overlong_prompt"
-    assert not err.value.retryable
+    # a body that is not {"error": {...}} is classified on its raw text
+    cases = [
+        ({"error": {"code": "context_length_exceeded",
+                    "message": "maximum context length exceeded"}}, "overlong_prompt"),
+        ({"error": "maximum context length exceeded"}, "overlong_prompt"),
+        (b'"context length"', "overlong_prompt"),
+        (["x"], "protocol"),
+        ({"error": None}, "protocol"),
+    ]
+    for body, kind in cases:
+        stub.enqueue(400, body)
+        with pytest.raises(BackendError) as err:
+            http_backend(stub).translate(spec())
+        assert err.value.kind == kind, body
+        assert not err.value.retryable
 
 
 def test_http_empty_completion_is_empty_output(stub):

@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 import requests
 
+from littrans import cli
 from littrans.cli import cmd_translate, main
 from littrans.config import ConfigError, load_config
-from util import CountingBackend
 
 
 @pytest.fixture()
@@ -141,12 +141,14 @@ def test_translate_idempotent_and_parallelism_invariant(toy_config_path, tmp_pat
     assert m1 == m3
 
 
-def test_translate_dry_run_counts_without_calls(toy_config_path, tmp_path, capsys):
+def test_translate_dry_run_counts_without_calls(toy_config_path, tmp_path, capsys, monkeypatch):
+    def no_backend(config):
+        raise AssertionError("a dry run built the configured backend")
+
+    monkeypatch.setattr(cli, "_build_backend", no_backend)
     config = load_config(toy_config_path, output_dir=str(tmp_path))
-    stub = CountingBackend()
-    code = cmd_translate(config, dry_run=True, backend_override=stub)
+    code = cmd_translate(config, dry_run=True)
     assert code == 0
-    assert stub.calls == 0
     out = capsys.readouterr().out
     assert "10 prompts" in out
     assert not (tmp_path / "hypotheses.jsonl").exists()
@@ -192,6 +194,27 @@ def test_nonpositive_http_rate_or_timeout_is_config_error(
     err = capsys.readouterr().err
     assert f"{override.split('=')[0]} must be > 0" in err and "Traceback" not in err
     assert sent == [] and not out.exists()
+
+
+@pytest.mark.parametrize("base_url", [
+    None, "localhost:8000", "ftp://h", "http://", "http://h:abc", "http://[::1",
+])
+def test_http_base_url_without_host_is_config_error(
+    toy_config_path, tmp_path, base_url, monkeypatch, capsys
+):
+    # accepted, such a URL would fail every sentence as a retried network
+    # error and exit 0 with every source copied
+    sent = []
+    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **kw: sent.append(a))
+    out = tmp_path / "out"
+    argv = ["translate", "--config", toy_config_path, "--out", str(out),
+            "--set", "backend.kind=http"]
+    if base_url is not None:
+        argv += ["--set", f"backend.base_url={base_url}"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "backend.base_url" in err and "Traceback" not in err
+    assert sent == [] and not (out / "hypotheses.jsonl").exists()
 
 
 def test_translate_abort_exit_code(toy_dir, tmp_path):

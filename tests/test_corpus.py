@@ -145,6 +145,16 @@ def test_whitespace_only_source_is_error(tmp_path):
         load_records(path)
 
 
+def test_whitespace_only_target_is_error(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "a", "seg_index": 0, "source": "s0", "target": "t0"},
+        {"doc_id": "a", "seg_index": 1, "source": "s1", "target": " "},
+    ])
+    with pytest.raises(CorpusFormatError, match="line 2: empty target"):
+        load_records(path)
+
+
 # --- line-aligned loader ---
 
 def test_line_aligned_basic(tmp_path):
@@ -186,6 +196,13 @@ def test_line_aligned_whitespace_only_source_is_error(tmp_path, with_target):
     tgt = tmp_path / "t.txt" if with_target else None
     with pytest.raises(CorpusFormatError, match="line 2: empty source"):
         load_line_aligned(tmp_path / "s.txt", tgt)
+
+
+def test_line_aligned_whitespace_only_target_is_error(tmp_path):
+    (tmp_path / "s.txt").write_text("a\nb\nc\n", encoding="utf-8")
+    (tmp_path / "t.txt").write_text("x\n \nz\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 2: empty target"):
+        load_line_aligned(tmp_path / "s.txt", tmp_path / "t.txt")
 
 
 def test_line_aligned_monolingual(tmp_path):

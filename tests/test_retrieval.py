@@ -16,7 +16,6 @@ from littrans.decoder import DecodingConfig, exclude_at_or_after, translate_docu
 from littrans.retrieval import (
     ExemplarIndex,
     build_index,
-    extract_keywords,
     pool_from_pairs,
     similarity,
     top_k,
@@ -51,9 +50,10 @@ def test_build_index_df_table(toy_index):
     # oracle: manual document-frequency count over the three sources
     assert toy_index.doc_freq == {"a": 2, "b": 2, "c": 2, "d": 1}
     assert toy_index.total_docs == 3
-    assert math.isclose(toy_index.idf("a"), math.log(4 / 3) + 1)
-    assert math.isclose(toy_index.idf("d"), math.log(2) + 1)
-    assert math.isclose(toy_index.idf("unseen"), math.log(4) + 1)
+    weights = toy_index._weigh(Counter(["a", "d", "unseen"]))[0]
+    assert math.isclose(weights["a"], math.log(4 / 3) + 1)
+    assert math.isclose(weights["d"], math.log(2) + 1)
+    assert math.isclose(weights["unseen"], math.log(4) + 1)
 
 
 def test_build_index_weights(toy_index):
@@ -61,7 +61,7 @@ def test_build_index_weights(toy_index):
     assert ex.term_counts == {"c": 1, "d": 1, "a": 1}
     w = math.log(4 / 3) + 1
     wd = math.log(2) + 1
-    weights = toy_index.weights(ex.source)
+    weights = toy_index._weigh(Counter(terms(ex.source)))[0]
     assert weights == pytest.approx({"c": w, "d": wd, "a": w})
     assert set(weights) <= set(toy_index.doc_freq)
 
@@ -79,25 +79,26 @@ def test_identical_sentences_identical_weights():
     assert similarity("x y", first, index) == similarity("x y", second, index)
 
 
-def test_keywords_rare_term_first(toy_index):
+def test_keywords_rare_term_first():
     # every term of the query except "d" appears in 2 of 3 exemplars
-    assert extract_keywords("a b d c", toy_index, 1) == ["d"]
+    assert build_index(TOY_POOL, 1)._weigh(Counter(terms("a b d c")))[2] == {"d"}
 
 
-def test_keywords_tf_idf_ranking(toy_index):
+def test_keywords_tf_idf_ranking():
     # oracle: manual tf-idf table; weights a=w, b=2w, c=w with equal idf,
     # so b leads and the a/c tie breaks by first occurrence
-    assert extract_keywords("a b b c", toy_index, 5) == ["b", "a", "c"]
+    assert build_index(TOY_POOL, 2)._weigh(Counter(terms("a b b c")))[2] == {"b", "a"}
+    assert build_index(TOY_POOL, 5)._weigh(Counter(terms("a b b c")))[2] == {"b", "a", "c"}
 
 
 def test_keywords_empty_sentence(toy_index):
-    assert extract_keywords("", toy_index, 3) == []
+    assert toy_index._weigh(Counter())[2] == frozenset()
     assert similarity("", toy_index.exemplars[0], toy_index).combined == 0.0
 
 
-def test_keywords_m_validation(toy_index):
+def test_keywords_m_validation():
     with pytest.raises(ValueError):
-        extract_keywords("a", toy_index, 0)
+        ExemplarIndex(0)
 
 
 def test_self_similarity_is_one(toy_index):
@@ -222,7 +223,7 @@ def test_index_grows_by_append():
     assert index.doc_freq == {"a": 1, "b": 2, "c": 1}
     # the append changed N, so every weight follows the new table
     w = math.log(3 / 2) + 1
-    assert index.weights("a b c") == pytest.approx({"a": w, "b": 1.0, "c": w})
+    assert index._weigh(Counter(terms("a b c")))[0] == pytest.approx({"a": w, "b": 1.0, "c": w})
     hits = top_k("b c", index, 1)
     assert hits[0].seg_index == 1
 
@@ -240,15 +241,16 @@ def test_queries_leave_a_built_index_unwritten(toy_index):
     # nothing a query does may write a built index: run_corpus threads
     # share one
     before = {name: (value, copy.deepcopy(value)) for name, value in vars(toy_index).items()}
-    top_k("a b c", toy_index, 2)
+    top_k("a b c unseen", toy_index, 2)  # weighs a term outside the pool
     top_k("d", toy_index, 3, exclude=lambda d, s: d == "p")
     for ex in toy_index.exemplars:
         similarity("c a", ex, toy_index)
-    extract_keywords("a b d", toy_index, 2)
     assert vars(toy_index).keys() == before.keys()
     for name, (value, snapshot) in before.items():
         assert vars(toy_index)[name] is value
         assert value == snapshot, name
+        if isinstance(value, dict):  # Counter equality ignores zero counts
+            assert value.keys() == snapshot.keys(), name
 
 
 def test_build_index_rejects_empty_source():
@@ -415,7 +417,6 @@ def test_a_dropped_index_is_freed_by_refcount_alone():
             top_k(source, index, 2)
             index.append(source, source.upper(), "d", i)
         similarity("a d", index.exemplars[0], index)
-        extract_keywords("b d", index, 2)
         alive = weakref.ref(index)
         del index
         assert alive() is None

@@ -185,17 +185,3 @@ class CapturingBackend:
         self.specs.append(prompt)
         self.rendered.append(render(prompt, self.template))
         return self.inner.translate(prompt)
-
-
-class CountingBackend:
-    """Counts calls; translation echoes the source."""
-
-    def __init__(self):
-        from littrans.backend import BackendCapabilities
-
-        self.capabilities = BackendCapabilities(name="counting")
-        self.calls = 0
-
-    def translate(self, prompt):
-        self.calls += 1
-        return prompt.current_source
