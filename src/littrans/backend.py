@@ -1,21 +1,27 @@
 """Translation backends: a uniform prompt-in / hypothesis-out contract.
 
 Deterministic mocks cover testing and offline runs; HttpBackend speaks the
-chat-completions wire protocol of common inference servers. Backends must
-tolerate concurrent translate() calls; retry policy lives in the decoder,
-backends only classify failures.
+chat-completions wire protocol of common inference servers over the
+standard library's http.client. Backends must tolerate concurrent
+translate() calls; retry policy lives in the decoder, backends only
+classify failures.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
+import math
 import os
+import select
+import ssl
 import threading
 import time
+import urllib.request
+import weakref
 from dataclasses import dataclass, field, replace
-from urllib.parse import urlsplit
-
-import requests
+from urllib.parse import quote, unquote, urlsplit
 
 from .prompts import PromptSpec, PromptTemplate, render
 
@@ -29,13 +35,22 @@ _RETRYABLE = {
 
 
 class BackendError(Exception):
-    def __init__(self, kind: str, detail: str = "", retryable: bool | None = None):
+    """`retry_after` is the server's requested wait in seconds, if it sent one."""
+
+    def __init__(
+        self,
+        kind: str,
+        detail: str = "",
+        retryable: bool | None = None,
+        retry_after: float | None = None,
+    ):
         if kind not in _RETRYABLE:
             raise ValueError(f"unknown error kind {kind!r}")
         super().__init__(f"{kind}: {detail}" if detail else kind)
         self.kind = kind
         self.detail = detail
         self.retryable = _RETRYABLE[kind] if retryable is None else retryable
+        self.retry_after = retry_after
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,9 @@ class TranslationBackend:
 
     def translate(self, prompt: PromptSpec) -> str:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the backend holds open between calls."""
 
 
 class IdentityBackend(TranslationBackend):
@@ -180,6 +198,12 @@ class HttpBackendConfig:
             raise ValueError(
                 f"backend.base_url must be an http(s) URL with a host, got {self.base_url!r}"
             )
+        if url.username is not None:
+            raise ValueError("backend.base_url must not carry credentials; use backend.api_key_env")
+        if not self.path.startswith("/"):
+            raise ValueError(f"backend.path must start with '/', got {self.path!r}")
+        if not math.isfinite(self.temperature):
+            raise ValueError("backend.temperature must be a finite number")
         if self.timeout <= 0:
             raise ValueError("backend.timeout must be > 0")
         if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
@@ -194,26 +218,63 @@ class HttpBackend(TranslationBackend):
     the user message is the prompt rendered without its system block;
     otherwise the single user message is the full rendered prompt. The
     request body carries exactly model, messages, temperature, max_tokens.
+
+    Transport: idle keep-alive connections wait on a stack; each call pops
+    one, or opens one, and pushes it back after reading a complete response
+    the server did not mark as closing, so concurrent callers hold at most
+    one connection each. The endpoint, the TLS context (the system CA
+    store) and the proxy (`*_proxy`/`no_proxy`) are resolved once here. A
+    3xx is not followed, and ~/.netrc is not read.
     """
 
-    def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
+    def __init__(self, config: HttpBackendConfig):
         self.config = config
         self.capabilities = BackendCapabilities(
             name=f"http:{config.model}",
             max_prompt_chars=config.max_prompt_chars,
             supports_system_role=config.supports_system_role,
         )
-        self._session = session or requests.Session()
         self._limiter = (
             _RateLimiter(config.rate_limit_rps) if config.rate_limit_rps else None
         )
-        self._api_key = None
+        self._headers = {"Content-Type": "application/json"}
         if config.api_key_env:
-            self._api_key = os.environ.get(config.api_key_env)
-            if not self._api_key:
+            api_key = os.environ.get(config.api_key_env)
+            if not api_key:
                 raise ValueError(
                     f"environment variable {config.api_key_env!r} is not set"
                 )
+            self._headers["Authorization"] = f"Bearer {api_key}"
+
+        url = urlsplit(config.base_url.rstrip("/") + config.path)
+        self._target = quote(url.path + (f"?{url.query}" if url.query else ""), safe=_URL_SAFE)
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._host, self._port = url.hostname, url.port or (80 if self._tls is None else 443)
+        self._tunnel = None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise ValueError(f"{url.scheme}_proxy must be an http:// URL, got {proxy!r}")
+            proxy_headers = {}
+            if proxy_url.username is not None:
+                user_pass = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                token = base64.b64encode(user_pass.encode("utf-8")).decode("ascii")
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if self._tls is None:  # plain HTTP: the proxy gets the absolute URL
+                self._target = f"http://{url.netloc}{self._target}"
+                self._headers.update(proxy_headers)
+            else:  # HTTPS: a CONNECT tunnel through the proxy
+                self._tunnel = (self._host, self._port, proxy_headers)
+            self._host, self._port = proxy_url.hostname, proxy_url.port or 80
+
+        self._idle: list[http.client.HTTPConnection] = []
+        # a backend dropped without close() still closes its sockets
+        weakref.finalize(self, _close_idle, self._idle)
+
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
+        _close_idle(self._idle)
 
     def build_messages(
         self, prompt: PromptSpec, rendered: str | None = None
@@ -251,51 +312,105 @@ class HttpBackend(TranslationBackend):
                 )
         if self._limiter is not None:
             self._limiter.wait()
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        url = self.config.base_url.rstrip("/") + self.config.path
-        try:
-            resp = self._session.post(
-                url,
-                json=self.build_body(prompt, rendered),
-                headers=headers,
-                timeout=self.config.timeout,
+        body = json.dumps(self.build_body(prompt, rendered), allow_nan=False).encode("utf-8")
+        resp, data = self._post(body)
+        return _parse_response(resp, data)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                break
+            # an idle connection has nothing to read unless its peer closed it
+            if not select.select([conn.sock], [], [], 0)[0]:
+                return conn
+            conn.close()
+        if self._tls is None:
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.config.timeout)
+        else:
+            conn = http.client.HTTPSConnection(
+                self._host, self._port, timeout=self.config.timeout, context=self._tls
             )
-        except requests.Timeout as exc:
-            raise BackendError("network", f"timeout after {self.config.timeout}s") from exc
-        except requests.RequestException as exc:
-            raise BackendError("network", str(exc)) from exc
-        return self._parse_response(resp)
+        if self._tunnel is not None:
+            host, port, headers = self._tunnel
+            conn.set_tunnel(host, port, headers)
+        return conn
 
-    def _parse_response(self, resp: requests.Response) -> str:
-        if resp.status_code == 429:
-            raise BackendError("rate_limit", "HTTP 429")
-        if resp.status_code >= 500:
-            raise BackendError("network", f"HTTP {resp.status_code}")
-        if resp.status_code >= 400:
-            detail = resp.text[:200]
-            if _looks_like_context_overflow(resp):
-                raise BackendError("overlong_prompt", detail)
-            raise BackendError("protocol", f"HTTP {resp.status_code}: {detail}")
+    def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
+        conn = self._connection()
+        resp = None
         try:
-            data = resp.json()
-            content = data["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError) as exc:
-            raise BackendError("protocol", f"malformed response body: {exc}") from exc
-        if not isinstance(content, str) or not content.strip():
-            raise BackendError("empty_output", "completion had no text")
-        return content
+            conn.request("POST", self._target, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except TimeoutError as exc:
+            raise BackendError("network", f"timeout after {self.config.timeout}s") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendError("network", str(exc) or type(exc).__name__) from exc
+        finally:
+            if resp is not None and resp.isclosed() and not resp.will_close:
+                self._idle.append(conn)
+            else:
+                if resp is not None:
+                    resp.close()
+                conn.close()
+        return resp, data
 
 
-def _looks_like_context_overflow(resp: requests.Response) -> bool:
+# left unescaped in the request target: the reserved characters and "%",
+# so an already-escaped path is sent as written
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
+def _close_idle(idle: list[http.client.HTTPConnection]) -> None:
+    while True:
+        try:
+            idle.pop().close()
+        except IndexError:
+            return
+
+
+def _parse_response(resp: http.client.HTTPResponse, data: bytes) -> str:
+    status = resp.status
+    if status == 429:
+        raise BackendError(
+            "rate_limit", "HTTP 429", retry_after=_delta_seconds(resp.getheader("Retry-After"))
+        )
+    if status >= 500:
+        raise BackendError("network", f"HTTP {status}")
+    if status >= 400:
+        detail = data.decode("utf-8", "replace")[:200]
+        if _looks_like_context_overflow(data):
+            raise BackendError("overlong_prompt", detail)
+        raise BackendError("protocol", f"HTTP {status}: {detail}")
+    if status >= 300:
+        location = resp.getheader("Location")
+        raise BackendError("protocol", f"HTTP {status} redirect to {location!r}, not followed")
     try:
-        body = resp.json()
+        content = json.loads(data)["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise BackendError("protocol", f"malformed response body: {exc}") from exc
+    if not isinstance(content, str) or not content.strip():
+        raise BackendError("empty_output", "completion had no text")
+    return content
+
+
+def _delta_seconds(value: str | None) -> float | None:
+    """A Retry-After in its delta-seconds form; an HTTP-date or anything
+    malformed gives None."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
+def _looks_like_context_overflow(data: bytes) -> bool:
+    try:
+        body = json.loads(data)
     except ValueError:
         body = None
     err = body.get("error", {}) if isinstance(body, dict) else None
     if isinstance(err, dict):
         blob = (str(err.get("code", "")) + " " + str(err.get("message", ""))).lower()
     else:  # not JSON, or not the usual {"error": {...}}: read the raw text
-        blob = resp.text.lower()
+        blob = data.decode("utf-8", "replace").lower()
     return "context" in blob and ("length" in blob or "window" in blob) or "too many tokens" in blob

@@ -134,13 +134,16 @@ def cmd_translate(config: RunConfig, dry_run: bool = False) -> int:
     backend = backend_mod.IdentityBackend() if dry_run else _build_backend(config)
     index = _build_exemplar_index(config)
 
-    results, manifest = decoder_mod.run_corpus(
-        corpus,
-        backend,
-        index=index,
-        config=config.decoding,
-        parallelism=config.loader.parallelism,
-    )
+    try:
+        results, manifest = decoder_mod.run_corpus(
+            corpus,
+            backend,
+            index=index,
+            config=config.decoding,
+            parallelism=config.loader.parallelism,
+        )
+    finally:
+        backend.close()
     if dry_run:
         prompts = sum(len(r.traces) for r in results)
         print(f"dry run: {prompts} prompts rendered for {len(results)} documents; no backend calls")

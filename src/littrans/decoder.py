@@ -172,8 +172,10 @@ def _attempt_translation(
             attempts.append(err.kind)
             if not err.retryable:
                 break
-            if i + 1 < config.max_attempts and delay > 0:
-                sleep(delay)
+            # a server's Retry-After is a floor under the backoff
+            wait = max(delay, err.retry_after or 0.0)
+            if i + 1 < config.max_attempts and wait > 0:
+                sleep(wait)
                 delay *= config.backoff_factor
     return None, attempts
 

@@ -1,9 +1,12 @@
+import http.client
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-import requests
 
 from littrans import cli
 from littrans.cli import cmd_translate, main
@@ -182,7 +185,7 @@ def test_nonpositive_http_rate_or_timeout_is_config_error(
     toy_config_path, tmp_path, override, monkeypatch, capsys
 ):
     sent = []
-    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **kw: sent.append(a))
+    monkeypatch.setattr(http.client.HTTPConnection, "request", lambda self, *a, **kw: sent.append(a))
     out = tmp_path / "out"
     code = run([
         "translate", "--config", toy_config_path, "--out", str(out),
@@ -205,7 +208,7 @@ def test_http_base_url_without_host_is_config_error(
     # accepted, such a URL would fail every sentence as a retried network
     # error and exit 0 with every source copied
     sent = []
-    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **kw: sent.append(a))
+    monkeypatch.setattr(http.client.HTTPConnection, "request", lambda self, *a, **kw: sent.append(a))
     out = tmp_path / "out"
     argv = ["translate", "--config", toy_config_path, "--out", str(out),
             "--set", "backend.kind=http"]
@@ -215,6 +218,40 @@ def test_http_base_url_without_host_is_config_error(
     err = capsys.readouterr().err
     assert "backend.base_url" in err and "Traceback" not in err
     assert sent == [] and not (out / "hypotheses.jsonl").exists()
+
+
+def test_http_path_without_leading_slash_is_config_error(
+    toy_config_path, tmp_path, monkeypatch, capsys
+):
+    # accepted, the path would be glued onto the host ("...:1v1/chat/...")
+    # and every sentence would fall back with exit 0
+    sent = []
+    monkeypatch.setattr(http.client.HTTPConnection, "request", lambda self, *a, **kw: sent.append(a))
+    out = tmp_path / "out"
+    code = run([
+        "translate", "--config", toy_config_path, "--out", str(out),
+        "--set", "backend.kind=http",
+        "--set", "backend.base_url=http://127.0.0.1:1",
+        "--set", "backend.path=v1/chat/completions",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "backend.path" in err and "Traceback" not in err
+    assert sent == [] and not (out / "hypotheses.jsonl").exists()
+
+
+def test_importing_the_cli_loads_no_http_library():
+    # every command imports the CLI; an HTTP library costs each of them
+    # start-up time and resident memory
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, littrans.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('requests', 'urllib3')))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_translate_abort_exit_code(toy_dir, tmp_path):
