@@ -8,6 +8,8 @@ key's only type and default: `corpus:` CorpusPaths, `stages:`
 StageSettings, `decoding:` and `retrieval:` DecodingConfig (`retry` is
 `max_attempts`), `backend:` HttpBackendConfig (for `kind: http`),
 `metrics:` BleuConfig; keys only the loader or the CLI reads: LoaderSettings.
+Each of these dataclasses checks its own ranges in __post_init__, naming
+the dotted key; the loader turns that ValueError into ConfigError.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ class StageSettings:
     stage2_budget: int = 1024
     sentence_instruction: str | None = None
 
+    def __post_init__(self):
+        for key in ("stage1_budget", "stage2_budget"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"stages.{key} must be >= 1")
+
 
 @dataclass
 class LoaderSettings:
@@ -62,6 +69,12 @@ class LoaderSettings:
     kind: Literal["identity", "table", "scripted", "http"] = "identity"
     table: dict[str, str] = field(default_factory=dict)
     script_file: str | None = None
+
+    def __post_init__(self):
+        if self.parallelism < 1:
+            raise ValueError("decoding.parallelism must be >= 1")
+        if self.kind == "scripted" and not self.script_file:
+            raise ValueError("backend.script_file is required for the scripted backend")
 
 
 @dataclass
@@ -190,22 +203,18 @@ def load_config(
             loader=LoaderSettings(**values[LoaderSettings]),
             base_dir=path.parent,
         )
-    except ValueError as exc:
-        raise ConfigError(f"section 'metrics': {exc}") from exc
-    config.output_dir = (
-        Path(output_dir)
-        if output_dir is not None
-        else config.resolve(data.get("output_dir", "out"))
-    )
-    _check_paths(config)
-    _check_ranges(config)
-    template = _prompt_template(config)
-    try:
+        _check_paths(config)
+        template = _prompt_template(config)
         config.decoding = DecodingConfig(**values[DecodingConfig], template=template)
         if config.loader.kind == "http":
             config.http = HttpBackendConfig(**values[HttpBackendConfig], template=template)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    config.output_dir = (
+        Path(output_dir)
+        if output_dir is not None
+        else config.resolve(data.get("output_dir", "out"))
+    )
     return config
 
 
@@ -241,12 +250,3 @@ def _check_paths(config: RunConfig) -> None:
     for key, value in candidates:
         if value is not None and not config.resolve(value).exists():
             raise ConfigError(f"{key}: path does not exist: {config.resolve(value)}")
-
-
-def _check_ranges(config: RunConfig) -> None:
-    if config.stages.stage1_budget < 1 or config.stages.stage2_budget < 1:
-        raise ConfigError("stage budgets must be >= 1")
-    if config.loader.parallelism < 1:
-        raise ConfigError("decoding.parallelism must be >= 1")
-    if config.loader.kind == "scripted" and not config.loader.script_file:
-        raise ConfigError("backend.script_file is required for the scripted backend")

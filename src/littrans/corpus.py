@@ -1,15 +1,23 @@
 """Bilingual literary corpus model: novel -> chapter -> sentence pair.
 
 Corpora are immutable after construction and safe to share across threads.
-The loaders are the only check of the structural invariants: each
-malformed structure raises CorpusFormatError naming the offending line
-or document, so every Corpus they return is valid.
+The loaders are the only check of the structural invariants and of the
+text rules: each violation raises CorpusFormatError naming the offending
+line or document, so every Corpus they return is valid.
 
 Record file format: UTF-8 JSONL, one object per line with fields
 ``doc_id`` (str), ``chapter_id`` (str, optional), ``seg_index`` (int,
-optional), ``source`` (str), ``target`` (str, optional). Text is
-normalized only by trimming trailing line terminators; no Unicode
-normalization, so scores stay byte-faithful.
+optional), ``source`` (str), ``target`` (str, optional). Text rules,
+the same for both loaders and for ``source`` and ``target``:
+
+- trailing ``\r`` and ``\n`` are trimmed; there is no other
+  normalization (no Unicode normalization), so scores stay byte-faithful;
+- a text that is empty or whitespace-only after trimming is rejected;
+- a text holding any line boundary ``str.splitlines()`` splits on
+  (``\n``, ``\r``, ``\v``, ``\f``, ``\x1c``-``\x1e``, ``\x85``, U+2028,
+  U+2029) is rejected, so every text fits on one line of a
+  line-oriented output (the stage 2 interlinear file);
+- targets are all or none: either every record has one or none does.
 """
 
 from __future__ import annotations
@@ -70,6 +78,16 @@ class Corpus:
 
 def _trim(text: str) -> str:
     return text.rstrip("\r\n")
+
+
+def _text(line: int, key: str, raw: str) -> str:
+    """The text of field ``key`` as stored: trimmed, non-blank, one line."""
+    text = _trim(raw)
+    if not text.strip():
+        raise CorpusFormatError(f"line {line}: empty {key} text")
+    if text.splitlines() != [text]:
+        raise CorpusFormatError(f"line {line}: {key} text contains a line break")
+    return text
 
 
 def read_jsonl(path: str | Path, str_fields: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
@@ -136,30 +154,17 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
             raise CorpusFormatError(
                 f"document {doc_id!r}: seg_index not contiguous from 0 (got {indexes})"
             )
-    targets = [rec.get("target") is not None for _, rec in records]
-    if any(targets) and not all(targets):
-        line = next(ln for ln, rec in records if rec.get("target") is None)
-        raise CorpusFormatError(
-            f"line {line}: document {doc_id!r} mixes pairs with and without targets"
-        )
 
     pairs = []
     for seg, (line, rec) in enumerate(records):
-        source = _trim(rec["source"])
-        if not source.strip():
-            raise CorpusFormatError(f"line {line}: empty source text")
         target = rec.get("target")
-        if target is not None:
-            target = _trim(target)
-            if not target.strip():
-                raise CorpusFormatError(f"line {line}: empty target text")
         pairs.append(
             SentencePair(
                 doc_id=doc_id,
                 chapter_id=str(rec.get("chapter_id", "") or ""),
                 seg_index=seg,
-                source=source,
-                target=target,
+                source=_text(line, "source", rec["source"]),
+                target=None if target is None else _text(line, "target", target),
             )
         )
 
@@ -186,22 +191,20 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
 def _finish_corpus(
     docs: dict[str, list[tuple[int, dict]]], language_pair: str, source_name: str
 ) -> Corpus:
+    has_target = {
+        line: rec.get("target") is not None for recs in docs.values() for line, rec in recs
+    }
+    if has_target:
+        first = min(has_target)
+        mixed = [line for line, has in has_target.items() if has != has_target[first]]
+        if mixed:
+            raise CorpusFormatError(
+                f"line {min(mixed)}: corpus mixes pairs with and without targets "
+                f"(line {first} {'has a' if has_target[first] else 'has no'} target)"
+            )
     documents = tuple(
         _build_document(doc_id, docs[doc_id]) for doc_id in sorted(docs)
     )
-    has_target = [
-        next(iter(doc.pairs())).target is not None for doc in documents if doc.sentence_count
-    ]
-    if any(has_target) and not all(has_target):
-        missing = next(
-            d.doc_id
-            for d in documents
-            if next(iter(d.pairs())).target is None
-        )
-        raise CorpusFormatError(
-            f"corpus mixes parallel and target-less documents (e.g. {missing!r}); "
-            f"split the file or add the missing targets"
-        )
     return Corpus(documents=documents, language_pair=language_pair, source_name=source_name)
 
 

@@ -56,8 +56,8 @@ class DecodingConfig:
     """Everything that shapes a prompt or a decoding step.
 
     The config loader builds it from the decoding: and retrieval: sections,
-    so range errors name those keys; this is the only place they are
-    checked.
+    so range errors name those keys. retrieval.top_k and ExemplarIndex check
+    similarity_alpha and keyword_count again for callers that bypass this.
     """
 
     history_size: int = 3
@@ -71,8 +71,9 @@ class DecodingConfig:
     backoff_factor: float = 2.0
 
     def __post_init__(self):
-        if self.history_size < 0 or self.exemplar_count < 0:
-            raise ValueError("decoding history_size/exemplar_count must be >= 0")
+        for key in ("history_size", "exemplar_count"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"decoding.{key} must be >= 0")
         if self.max_attempts < 1:
             raise ValueError(
                 "decoding.retry must be >= 1: every sentence needs one backend attempt"
@@ -82,7 +83,7 @@ class DecodingConfig:
         if self.keyword_count < 1:
             raise ValueError("retrieval.keyword_count must be >= 1")
         if self.fallback not in (FALLBACK_COPY_SOURCE, FALLBACK_ABORT):
-            raise ValueError(f"unknown fallback policy {self.fallback!r}")
+            raise ValueError("decoding.fallback must be copy_source or abort")
 
 
 @dataclass(frozen=True)

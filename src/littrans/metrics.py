@@ -51,11 +51,11 @@ class BleuConfig:
 
     def __post_init__(self):
         if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
+            raise ValueError("metrics.max_order must be >= 1")
         if self.smoothing not in SMOOTHING_MODES:
-            raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}")
+            raise ValueError(f"metrics.smoothing must be one of {SMOOTHING_MODES}")
         if self.tokenization not in TOKENIZATION_MODES:
-            raise ValueError(f"tokenization must be one of {TOKENIZATION_MODES}")
+            raise ValueError(f"metrics.tokenization must be one of {TOKENIZATION_MODES}")
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,29 @@ def test_ill_typed_value_is_config_error(toy_config_path, tmp_path, override, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides,key",
+    [
+        (["stages.stage1_budget=0"], "stages.stage1_budget"),
+        (["stages.stage2_budget=0"], "stages.stage2_budget"),
+        (["decoding.parallelism=0"], "decoding.parallelism"),
+        (["metrics.max_order=0"], "metrics.max_order"),
+        (["backend.kind=scripted", "backend.script_file=null"], "backend.script_file"),
+    ],
+)
+def test_out_of_range_value_is_config_error_naming_its_key(
+    toy_config_path, tmp_path, overrides, key, capsys
+):
+    out = tmp_path / "out"
+    args = ["translate", "--config", toy_config_path, "--out", str(out)]
+    for override in overrides:
+        args += ["--set", override]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- evaluate ---
 
 @pytest.fixture()
@@ -473,6 +496,28 @@ def test_validate_bad_corpus(tmp_path, capsys):
     config.write_text("corpus:\n  records: bad.jsonl\n", encoding="utf-8")
     assert run(["validate", "--config", str(config)]) == 1
     assert "duplicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\u2028"], ids=["newline", "line-separator"])
+@pytest.mark.parametrize("command", [["validate"], ["translate"], ["prepare", "2"]])
+def test_source_with_line_break_is_rejected_by_every_command(
+    tmp_path, line_break, command, capsys
+):
+    # stage 2 writes one text per line, so every command rejects what it
+    # could not write, at load, before any output exists
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(
+        json.dumps({"doc_id": "a", "source": "山风", "target": "wind"}) + "\n"
+        + json.dumps({"doc_id": "a", "source": f"高{line_break}原", "target": "plateau"}) + "\n",
+        encoding="utf-8",
+    )
+    config = tmp_path / "c.yaml"
+    config.write_text("corpus:\n  records: c.jsonl\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: source text contains a line break" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_config_flag(capsys):

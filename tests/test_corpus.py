@@ -101,7 +101,20 @@ def test_mixed_targets_across_documents(tmp_path):
         {"doc_id": "a", "seg_index": 0, "source": "s0", "target": "t0"},
         {"doc_id": "b", "seg_index": 0, "source": "s1"},
     ])
-    with pytest.raises(CorpusFormatError, match="mixes parallel"):
+    with pytest.raises(CorpusFormatError, match=r"line 2: corpus mixes pairs .*line 1 has a target"):
+        load_records(path)
+
+
+def test_mixed_targets_names_first_line_that_differs_from_the_first_record(tmp_path):
+    # documents load in doc_id order, but the rule follows file order
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "b", "source": "s0"},
+        {"doc_id": "a", "source": "s1"},
+        {"doc_id": "a", "source": "s2", "target": "t2"},
+        {"doc_id": "b", "source": "s3", "target": "t3"},
+    ])
+    with pytest.raises(CorpusFormatError, match=r"line 3: .*line 1 has no target"):
         load_records(path)
 
 
@@ -155,6 +168,37 @@ def test_whitespace_only_target_is_error(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize(
+    "key,text,message",
+    [
+        ("source", "a\nb", "source text contains a line break"),
+        ("target", "a\rb", "target text contains a line break"),
+        ("source", "a\u2028b", "source text contains a line break"),
+        ("target", "a\x85", "target text contains a line break"),
+        ("target", "", "empty target text"),
+        ("source", "\r\n", "empty source text"),
+    ],
+)
+def test_record_text_line_break_or_blank_is_error(tmp_path, key, text, message):
+    # every loaded text is one non-blank line, so line-oriented writers
+    # (the interlinear stage 2 file) can print it as it is
+    bad = {"source": "s1", "target": "t1", key: text}
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "a", "source": "s0", "target": "t0"},
+        {"doc_id": "a", **bad},
+    ])
+    with pytest.raises(CorpusFormatError, match=f"line 2: {message}"):
+        load_records(path)
+
+
+def test_record_text_trailing_line_terminators_are_trimmed(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"doc_id": "a", "source": "s0\r\n", "target": "t0\n\n"}])
+    pair = next(load_records(path).documents[0].pairs())
+    assert (pair.source, pair.target) == ("s0", "t0")
+
+
 # --- line-aligned loader ---
 
 def test_line_aligned_basic(tmp_path):
@@ -202,6 +246,18 @@ def test_line_aligned_whitespace_only_target_is_error(tmp_path):
     (tmp_path / "s.txt").write_text("a\nb\nc\n", encoding="utf-8")
     (tmp_path / "t.txt").write_text("x\n \nz\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="line 2: empty target"):
+        load_line_aligned(tmp_path / "s.txt", tmp_path / "t.txt")
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_line_aligned_unicode_line_separator_is_error(tmp_path, side):
+    # U+2028 does not end a line when the file is read, but str.splitlines()
+    # splits on it, so it would break a line-oriented output
+    source = "a\nb\u2028b\nc\n" if side == "source" else "a\nb\nc\n"
+    target = "x\ny\u2028y\nz\n" if side == "target" else "x\ny\nz\n"
+    (tmp_path / "s.txt").write_text(source, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(target, encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"line 2: {side} text contains a line break"):
         load_line_aligned(tmp_path / "s.txt", tmp_path / "t.txt")
 
 
