@@ -16,11 +16,11 @@ segment.
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby, pairwise, repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -68,47 +68,27 @@ class BleuReport:
     segmentation: str
 
 
-@lru_cache(maxsize=None)
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+# the 65 code points of category Cc: U+0000-U+001F and U+007F-U+009F
+_CONTROLS = dict.fromkeys([*range(0x20), *range(0x7F, 0xA0)], " ")
 
 
-@lru_cache(maxsize=None)
-def _is_symbol(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("S")
+class _CharClasses(dict):
+    """str.translate table from a code point to its class letter: "d" for a
+    digit (Nd), "p" for punctuation (P*), "s" for a symbol (S*), "o" for
+    anything else. Each code point is classified at its first lookup."""
+
+    def __missing__(self, code: int) -> str:
+        category = unicodedata.category(chr(code))
+        letter = "d" if category == "Nd" else {"P": "p", "S": "s"}.get(category[0], "o")
+        self[code] = letter
+        return letter
 
 
-@lru_cache(maxsize=None)
-def _is_digit(ch: str) -> bool:
-    return unicodedata.category(ch) == "Nd"
-
-
-def _pad_punct_after_nondigit(s: str) -> str:
-    # leftmost non-overlapping (non-digit)(punct) -> "a p "
-    out: list[str] = []
-    i, n = 0, len(s)
-    while i < n:
-        if i + 1 < n and not _is_digit(s[i]) and _is_punct(s[i + 1]):
-            out += (s[i], " ", s[i + 1], " ")
-            i += 2
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
-
-
-def _pad_punct_before_nondigit(s: str) -> str:
-    # leftmost non-overlapping (punct)(non-digit) -> " p a"
-    out: list[str] = []
-    i, n = 0, len(s)
-    while i < n:
-        if i + 1 < n and _is_punct(s[i]) and not _is_digit(s[i + 1]):
-            out += (" ", s[i], " ", s[i + 1])
-            i += 2
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
+_CLASSES = _CharClasses()
+# the two punctuation rules on class strings: (non-digit)(punct) -> "a p "
+# and (punct)(non-digit) -> " p a", at leftmost non-overlapping pairs
+_PUNCT_AFTER = re.compile("([^d])(p)")
+_PUNCT_BEFORE = re.compile("(p)([^d])")
 
 
 def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list[str]:
@@ -116,7 +96,9 @@ def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list
 
     intl-13a: join end-of-line hyphenation, map control characters to
     spaces, pad punctuation not adjacent to digits and all symbols, split
-    on whitespace. character: one token per non-space character.
+    on whitespace. The padding rules run on a string of class letters of
+    the same length as the text; the text is then cut wherever the class
+    string gained a space. character: one token per non-space character.
     """
     if mode not in TOKENIZATION_MODES:
         raise ValueError(f"tokenization must be one of {TOKENIZATION_MODES}")
@@ -125,16 +107,15 @@ def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list
     text = text.rstrip()
     if mode == "character":
         return [c for c in text if not c.isspace()]
-    text = text.replace("-\n", "")
-    text = "".join(" " if unicodedata.category(c) == "Cc" else c for c in text)
-    text = _pad_punct_after_nondigit(text)
-    text = _pad_punct_before_nondigit(text)
-    text = "".join(f" {c} " if _is_symbol(c) else c for c in text)
-    return text.split()
+    text = text.replace("-\n", "").translate(_CONTROLS)
+    classes = _PUNCT_AFTER.sub(r"\1 \2 ", text.translate(_CLASSES))
+    classes = _PUNCT_BEFORE.sub(r" \1 \2", classes).replace("s", " s ")
+    cuts = pairwise(accumulate(map(len, classes.split(" ")), initial=0))
+    return " ".join(text[a:b] for a, b in cuts).split()
 
 
 def _ngrams(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+    return Counter(zip(*[tokens[i:] for i in range(order)]))
 
 
 def corpus_bleu(
@@ -166,9 +147,10 @@ def corpus_bleu(
                 break
             hyp_counts = _ngrams(hyp_tokens, order)
             ref_counts = _ngrams(ref_tokens, order)
-            total[order - 1] += sum(hyp_counts.values())
+            total[order - 1] += len(hyp_tokens) - order + 1
+            # clipped matches: min(hypothesis count, reference count) per n-gram
             correct[order - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
+                map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))
             )
 
     if hyp_len == 0:

@@ -1,11 +1,14 @@
 import math
 import random
 import string
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littrans import metrics
 from littrans.metrics import (
     AlignmentError,
     BleuConfig,
@@ -14,7 +17,7 @@ from littrans.metrics import (
     s_bleu,
     tokenize,
 )
-from util import naive_bleu
+from util import naive_bleu, naive_tokenize_intl
 
 WORDS = st.text(alphabet=string.ascii_lowercase[:8], min_size=1, max_size=4)
 SENTENCES = st.lists(WORDS, min_size=1, max_size=12).map(" ".join)
@@ -63,6 +66,67 @@ def test_tokenize_lowercase():
 def test_tokenize_rejects_unknown_mode():
     with pytest.raises(ValueError):
         tokenize("x", mode="words")
+
+
+# text the padding rules act on: punctuation, symbols, numbers, control
+# characters, whitespace and hyphenated line breaks, mixed with any code point
+RULE_TEXT = st.lists(
+    st.one_of(
+        st.characters(whitelist_categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")),
+        st.characters(whitelist_categories=("Sm", "Sc", "Sk", "So")),
+        st.characters(whitelist_categories=("Nd", "Nl", "No")),
+        st.characters(whitelist_categories=("Cc",)),
+        st.sampled_from([" ", "\t", "\n", "\u3000", "\u2028", "-\n", "-"]),
+        st.characters(),
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(RULE_TEXT, st.booleans())
+def test_tokenize_matches_per_character_oracle(text, lowercase):
+    assert tokenize(text, lowercase=lowercase) == naive_tokenize_intl(text, lowercase)
+
+
+def _class_letter(category: str) -> str:
+    if category == "Nd":
+        return "d"
+    return {"P": "p", "S": "s"}.get(category[0], "o")
+
+
+def test_class_letters_follow_unicode_categories_for_every_code_point():
+    # a fresh table per plane keeps the memory of the check small
+    for start in range(0, sys.maxunicode + 1, 0x10000):
+        text = "".join(map(chr, range(start, start + 0x10000)))
+        expected = "".join(_class_letter(unicodedata.category(c)) for c in text)
+        assert text.translate(metrics._CharClasses()) == expected, hex(start)
+
+
+def test_control_table_is_exactly_category_cc():
+    controls = [c for c in range(sys.maxunicode + 1) if unicodedata.category(chr(c)) == "Cc"]
+    assert len(controls) == 65
+    assert metrics._CONTROLS == dict.fromkeys(controls, " ")
+
+
+def test_bleu_tokenizes_through_the_module_global_in_key_order(monkeypatch):
+    # perfbench times evaluate by wrapping littrans.metrics.tokenize, so both
+    # scorers must call it through the module, hypothesis before reference
+    seen = []
+
+    def recorder(text, *args, **kwargs):
+        seen.append(text)
+        return tokenize(text, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "tokenize", recorder)
+    keys = [("b", 0), ("a", 1), ("a", 0)]
+    hyp = {k: f"h {k[0]}{k[1]}." for k in keys}
+    ref = {k: f"r {k[0]}{k[1]}." for k in reversed(keys)}
+    s_bleu(hyp, ref)
+    assert seen == ["h a0.", "r a0.", "h a1.", "r a1.", "h b0.", "r b0."]
+    seen.clear()
+    d_bleu(hyp, ref)
+    assert seen == ["h a0. h a1.", "r a0. r a1.", "h b0.", "r b0."]
 
 
 # --- corpus_bleu on frozen handcrafted cases ---

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import unicodedata
 from collections import Counter
 
 from littrans import retrieval
@@ -57,6 +58,44 @@ def naive_bleu(
     else:
         score = bp * math.exp(sum(math.log(p) for p in effective) / len(effective)) * 100.0
     return score, precisions, bp, hyp_len, ref_len
+
+
+def _pad_pairs(text: str, left, right, pad) -> str:
+    # leftmost non-overlapping pairs (a, b) with left(a) and right(b)
+    out: list[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        if i + 1 < n and left(text[i]) and right(text[i + 1]):
+            out.append(pad(text[i], text[i + 1]))
+            i += 2
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+def naive_tokenize_intl(text: str, lowercase: bool = False) -> list[str]:
+    """intl-13a tokens one character at a time, from the rules: join
+    hyphenated line breaks, control characters become spaces, punctuation
+    not adjacent to a digit (Nd) and every symbol are padded with spaces."""
+
+    def category(ch):
+        return unicodedata.category(ch)
+
+    def punct(ch):
+        return category(ch).startswith("P")
+
+    def non_digit(ch):
+        return category(ch) != "Nd"
+
+    if lowercase:
+        text = text.lower()
+    text = text.rstrip().replace("-\n", "")
+    text = "".join(" " if category(c) == "Cc" else c for c in text)
+    text = _pad_pairs(text, non_digit, punct, lambda a, b: f"{a} {b} ")
+    text = _pad_pairs(text, punct, non_digit, lambda a, b: f" {a} {b}")
+    text = "".join(f" {c} " if category(c).startswith("S") else c for c in text)
+    return text.split()
 
 
 def brute_force_scores(query, index: ExemplarIndex, exclude=None, alpha=0.5):
