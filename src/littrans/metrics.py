@@ -2,11 +2,26 @@
 
 The scorer follows the standard corpus-BLEU recipe: clipped n-gram counts
 accumulated over all segments, per-order precisions, exponential-floor
-smoothing for zero-match orders, brevity penalty, geometric mean. The
-default tokenizer pads Unicode punctuation not adjacent to digits and all
-symbol characters after normalizing line breaks, reproducing the
-international mteval tokenization; "character" mode scores unsegmented
-text one character at a time.
+smoothing for zero-match orders, brevity penalty, geometric mean.
+
+The default tokenizer, intl-13a, is mteval-v14's international
+tokenization as sacrebleu's TokenizerV14International ports it. After
+trailing whitespace is stripped it
+
+1. joins end-of-line hyphenation: a hyphen followed by a line feed is
+   deleted;
+2. maps every control character (category Cc) to a space;
+3. pads punctuation not adjacent to a number: with P any punctuation
+   (P*) and N any number (N*: Nd, Nl, No), each leftmost non-overlapping
+   pair (non-N)(P) becomes "a p ", then each pair (P)(non-N) " p a";
+4. pads every symbol (S*) as " s ";
+5. splits on whitespace.
+
+The categories come from the running Python's unicodedata: Unicode 13.0
+on Python 3.10, 14.0 on 3.11, 15.0 on 3.12 and 15.1 on 3.13, so a
+character assigned in a later version can tokenize differently across
+Pythons. "character" mode scores unsegmented text one character at a
+time.
 
 s-BLEU treats every sentence as a segment, d-BLEU joins each document's
 sentences with single spaces into one segment. Single reference per
@@ -74,19 +89,18 @@ _CONTROLS = dict.fromkeys([*range(0x20), *range(0x7F, 0xA0)], " ")
 
 class _CharClasses(dict):
     """str.translate table from a code point to its class letter: "d" for a
-    digit (Nd), "p" for punctuation (P*), "s" for a symbol (S*), "o" for
+    number (N*), "p" for punctuation (P*), "s" for a symbol (S*), "o" for
     anything else. Each code point is classified at its first lookup."""
 
     def __missing__(self, code: int) -> str:
-        category = unicodedata.category(chr(code))
-        letter = "d" if category == "Nd" else {"P": "p", "S": "s"}.get(category[0], "o")
+        letter = {"N": "d", "P": "p", "S": "s"}.get(unicodedata.category(chr(code))[0], "o")
         self[code] = letter
         return letter
 
 
 _CLASSES = _CharClasses()
-# the two punctuation rules on class strings: (non-digit)(punct) -> "a p "
-# and (punct)(non-digit) -> " p a", at leftmost non-overlapping pairs
+# the two punctuation rules on class strings: (non-number)(punct) -> "a p "
+# and (punct)(non-number) -> " p a", at leftmost non-overlapping pairs
 _PUNCT_AFTER = re.compile("([^d])(p)")
 _PUNCT_BEFORE = re.compile("(p)([^d])")
 
@@ -95,7 +109,7 @@ def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list
     """Tokenize one segment for scoring.
 
     intl-13a: join end-of-line hyphenation, map control characters to
-    spaces, pad punctuation not adjacent to digits and all symbols, split
+    spaces, pad punctuation not adjacent to a number and all symbols, split
     on whitespace. The padding rules run on a string of class letters of
     the same length as the text; the text is then cut wherever the class
     string gained a space. character: one token per non-space character.

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import string
 import sys
 import unicodedata
@@ -46,6 +47,21 @@ def test_tokenize_reference_battery(bleu_fixture):
         assert tokenize(case["text"]) == case["tokens"], case["text"]
 
 
+@pytest.mark.parametrize(
+    "text,tokens",
+    [
+        # No, No, Nl: punctuation between or after numbers stays attached
+        ("½.", ["½."]),
+        ("①,②", ["①,②"]),
+        ("Ⅻ.", ["Ⅻ."]),
+        # "²," is (number)(punct), so only (punct)(non-number) ",y" pads
+        ("x²,y", ["x²", ",", "y"]),
+    ],
+)
+def test_tokenize_number_categories_beyond_nd(text, tokens):
+    assert tokenize(text) == tokens
+
+
 def test_tokenize_hyphenated_line_break_joined():
     assert tokenize("co-\noperate now") == ["cooperate", "now"]
 
@@ -90,9 +106,7 @@ def test_tokenize_matches_per_character_oracle(text, lowercase):
 
 
 def _class_letter(category: str) -> str:
-    if category == "Nd":
-        return "d"
-    return {"P": "p", "S": "s"}.get(category[0], "o")
+    return {"N": "d", "P": "p", "S": "s"}.get(category[0], "o")
 
 
 def test_class_letters_follow_unicode_categories_for_every_code_point():
@@ -101,6 +115,16 @@ def test_class_letters_follow_unicode_categories_for_every_code_point():
         text = "".join(map(chr, range(start, start + 0x10000)))
         expected = "".join(_class_letter(unicodedata.category(c)) for c in text)
         assert text.translate(metrics._CharClasses()) == expected, hex(start)
+
+
+def test_number_class_is_every_number_category_not_backslash_d():
+    # mteval-v14 pads on \P{N}; Python's \d matches only Nd, so a tokenizer
+    # built on \d would split fractions, superscripts and Roman numerals
+    numbers = {c for c in range(sys.maxunicode + 1) if unicodedata.category(chr(c))[0] == "N"}
+    digits = {c for c in numbers if re.fullmatch(r"\d", chr(c))}
+    assert {"½", "²", "Ⅻ", "①"} <= set(map(chr, numbers - digits))
+    text = "".join(map(chr, sorted(numbers)))
+    assert set(text.translate(metrics._CharClasses())) == {"d"}
 
 
 def test_control_table_is_exactly_category_cc():

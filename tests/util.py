@@ -77,7 +77,7 @@ def _pad_pairs(text: str, left, right, pad) -> str:
 def naive_tokenize_intl(text: str, lowercase: bool = False) -> list[str]:
     """intl-13a tokens one character at a time, from the rules: join
     hyphenated line breaks, control characters become spaces, punctuation
-    not adjacent to a digit (Nd) and every symbol are padded with spaces."""
+    not adjacent to a number (N*) and every symbol are padded with spaces."""
 
     def category(ch):
         return unicodedata.category(ch)
@@ -85,15 +85,15 @@ def naive_tokenize_intl(text: str, lowercase: bool = False) -> list[str]:
     def punct(ch):
         return category(ch).startswith("P")
 
-    def non_digit(ch):
-        return category(ch) != "Nd"
+    def non_number(ch):
+        return not category(ch).startswith("N")
 
     if lowercase:
         text = text.lower()
     text = text.rstrip().replace("-\n", "")
     text = "".join(" " if category(c) == "Cc" else c for c in text)
-    text = _pad_pairs(text, non_digit, punct, lambda a, b: f"{a} {b} ")
-    text = _pad_pairs(text, punct, non_digit, lambda a, b: f" {a} {b}")
+    text = _pad_pairs(text, non_number, punct, lambda a, b: f"{a} {b} ")
+    text = _pad_pairs(text, punct, non_number, lambda a, b: f" {a} {b}")
     text = "".join(f" {c} " if category(c).startswith("S") else c for c in text)
     return text.split()
 
