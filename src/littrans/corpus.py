@@ -81,12 +81,19 @@ def _trim(text: str) -> str:
 
 
 def _text(line: int, key: str, raw: str) -> str:
-    """The text of field ``key`` as stored: trimmed, non-blank, one line."""
+    """The text of field ``key`` as stored: trimmed, non-blank, one line,
+    encodable as UTF-8 (a JSON escape can hold a lone surrogate)."""
     text = _trim(raw)
     if not text.strip():
         raise CorpusFormatError(f"line {line}: empty {key} text")
     if text.splitlines() != [text]:
         raise CorpusFormatError(f"line {line}: {key} text contains a line break")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CorpusFormatError(
+            f"line {line}: {key} text cannot be encoded as UTF-8 ({exc.reason})"
+        ) from None
     return text
 
 

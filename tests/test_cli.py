@@ -520,6 +520,24 @@ def test_source_with_line_break_is_rejected_by_every_command(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["validate"], ["translate"], ["prepare", "1"]])
+def test_source_with_lone_surrogate_is_rejected_by_every_command(tmp_path, command, capsys):
+    # a JSON escape can hold a lone surrogate, which no output file can encode
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(
+        json.dumps({"doc_id": "a", "source": "山风", "target": "wind"}) + "\n"
+        + json.dumps({"doc_id": "a", "source": "\ud800x", "target": "plateau"}) + "\n",
+        encoding="utf-8",
+    )
+    config = tmp_path / "c.yaml"
+    config.write_text("corpus:\n  records: c.jsonl\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: source text cannot be encoded as UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_config_flag(capsys):
     assert run(["validate"]) == 1
     assert "--config" in capsys.readouterr().err

@@ -192,6 +192,19 @@ def test_record_text_line_break_or_blank_is_error(tmp_path, key, text, message):
         load_records(path)
 
 
+@pytest.mark.parametrize("key,text", [("source", "\ud800x"), ("target", "a\udfff")])
+def test_record_text_with_lone_surrogate_is_error(tmp_path, key, text):
+    # json.dumps escapes the surrogate, so the file itself is valid UTF-8
+    bad = {"doc_id": "a", "source": "s1", "target": "t1", key: text}
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        json.dumps({"doc_id": "a", "source": "s0", "target": "t0"}) + "\n" + json.dumps(bad) + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(CorpusFormatError, match=f"line 2: {key} text cannot be encoded as UTF-8"):
+        load_records(path)
+
+
 def test_record_text_trailing_line_terminators_are_trimmed(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [{"doc_id": "a", "source": "s0\r\n", "target": "t0\n\n"}])
