@@ -108,11 +108,10 @@ _PUNCT_BEFORE = re.compile("(p)([^d])")
 def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list[str]:
     """Tokenize one segment for scoring.
 
-    intl-13a: join end-of-line hyphenation, map control characters to
-    spaces, pad punctuation not adjacent to a number and all symbols, split
-    on whitespace. The padding rules run on a string of class letters of
-    the same length as the text; the text is then cut wherever the class
-    string gained a space. character: one token per non-space character.
+    intl-13a: the rules in the module docstring. The padding rules run on
+    a string of class letters of the same length as the text, which is
+    then cut wherever the class string gained a space. character: one
+    token per non-space character.
     """
     if mode not in TOKENIZATION_MODES:
         raise ValueError(f"tokenization must be one of {TOKENIZATION_MODES}")

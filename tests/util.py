@@ -79,8 +79,7 @@ def naive_tokenize_intl(text: str, lowercase: bool = False) -> list[str]:
     hyphenated line breaks, control characters become spaces, punctuation
     not adjacent to a number (N*) and every symbol are padded with spaces."""
 
-    def category(ch):
-        return unicodedata.category(ch)
+    category = unicodedata.category
 
     def punct(ch):
         return category(ch).startswith("P")
