@@ -93,7 +93,7 @@ def _text(line: int, key: str, raw: str) -> str:
     except UnicodeEncodeError as exc:
         raise CorpusFormatError(
             f"line {line}: {key} text cannot be encoded as UTF-8 ({exc.reason})"
-        ) from None
+        ) from exc
     return text
 
 
