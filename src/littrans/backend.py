@@ -33,31 +33,29 @@ _RETRYABLE = {
     "overlong_prompt": False,
 }
 
+# the longest a run waits at once, in seconds (one day): a request timeout,
+# the spacing of a rate limit, or a backoff or Retry-After before a retry
+MAX_WAIT = 86400.0
+
 
 class BackendError(Exception):
     """`retry_after` is the server's requested wait in seconds, if it sent one."""
 
-    def __init__(
-        self,
-        kind: str,
-        detail: str = "",
-        retryable: bool | None = None,
-        retry_after: float | None = None,
-    ):
+    def __init__(self, kind: str, detail: str = "", retry_after: float | None = None):
         if kind not in _RETRYABLE:
             raise ValueError(f"unknown error kind {kind!r}")
         super().__init__(f"{kind}: {detail}" if detail else kind)
         self.kind = kind
         self.detail = detail
-        self.retryable = _RETRYABLE[kind] if retryable is None else retryable
+        self.retryable = _RETRYABLE[kind]
         self.retry_after = retry_after
 
 
 @dataclass(frozen=True)
 class BackendCapabilities:
+    """A backend's name; nothing in the package reads it."""
+
     name: str
-    max_prompt_chars: int | None = None
-    supports_system_role: bool = True
 
 
 class TranslationBackend:
@@ -75,26 +73,8 @@ class TranslationBackend:
 class IdentityBackend(TranslationBackend):
     """Echoes the current source; useful for pipeline plumbing tests."""
 
-    capabilities = BackendCapabilities(name="identity")
-
     def translate(self, prompt: PromptSpec) -> str:
         return prompt.current_source
-
-
-class TableBackend(TranslationBackend):
-    """Fixed source -> hypothesis lookup; unknown sources are a protocol
-    error (the table is mis-scripted, retrying cannot help)."""
-
-    capabilities = BackendCapabilities(name="table")
-
-    def __init__(self, table: dict[str, str]):
-        self.table = dict(table)
-
-    def translate(self, prompt: PromptSpec) -> str:
-        try:
-            return self.table[prompt.current_source]
-        except KeyError:
-            raise BackendError("protocol", f"no table entry for {prompt.current_source!r}")
 
 
 class ScriptedBackend(TranslationBackend):
@@ -108,8 +88,6 @@ class ScriptedBackend(TranslationBackend):
     thread-safe, so documents can run concurrently as long as their sources
     differ.
     """
-
-    capabilities = BackendCapabilities(name="scripted")
 
     def __init__(self, script: dict[str, str | list]):
         if not isinstance(script, dict):
@@ -153,6 +131,12 @@ class ScriptedBackend(TranslationBackend):
         if "error" in step:
             raise BackendError(step["error"], step.get("detail", "scripted failure"))
         return step["text"]
+
+
+class TableBackend(ScriptedBackend):
+    """A script of one output per source, `{source: output}`: every
+    attempt at a source returns its output, and a source the table lacks is
+    a protocol error (the table is mis-scripted, retrying cannot help)."""
 
 
 class _RateLimiter:
@@ -206,8 +190,19 @@ class HttpBackendConfig:
             raise ValueError("backend.temperature must be a finite number")
         if self.timeout <= 0:
             raise ValueError("backend.timeout must be > 0")
-        if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
+        if not self.timeout <= MAX_WAIT:
+            raise ValueError(f"backend.timeout must be at most {MAX_WAIT:g} s")
+        rps = self.rate_limit_rps
+        if rps is not None and rps <= 0:
             raise ValueError("backend.rate_limit_rps must be > 0")
+        if rps is not None and not (math.isfinite(rps) and 1.0 / rps <= MAX_WAIT):
+            raise ValueError(
+                f"backend.rate_limit_rps must be finite and at least 1/{MAX_WAIT:g}"
+            )
+        if self.max_tokens < 1:
+            raise ValueError("backend.max_tokens must be >= 1")
+        if self.max_prompt_chars is not None and self.max_prompt_chars < 1:
+            raise ValueError("backend.max_prompt_chars must be >= 1")
 
 
 class HttpBackend(TranslationBackend):
@@ -229,11 +224,6 @@ class HttpBackend(TranslationBackend):
 
     def __init__(self, config: HttpBackendConfig):
         self.config = config
-        self.capabilities = BackendCapabilities(
-            name=f"http:{config.model}",
-            max_prompt_chars=config.max_prompt_chars,
-            supports_system_role=config.supports_system_role,
-        )
         self._limiter = (
             _RateLimiter(config.rate_limit_rps) if config.rate_limit_rps else None
         )

@@ -27,6 +27,7 @@ from .backend import HttpBackendConfig
 from .decoder import DecodingConfig
 from .metrics import BleuConfig
 from .prompts import PromptTemplate, TemplateError
+from .stages import DEFAULT_BUDGET
 
 
 class ConfigError(Exception):
@@ -46,10 +47,10 @@ class CorpusPaths:
 
 @dataclass
 class StageSettings:
-    stage1_budget: int = 1024
+    stage1_budget: int = DEFAULT_BUDGET
     stage1_side: Literal["source", "target"] = "source"
     stage1_joiner: str | None = None
-    stage2_budget: int = 1024
+    stage2_budget: int = DEFAULT_BUDGET
     sentence_instruction: str | None = None
 
     def __post_init__(self):

@@ -14,6 +14,7 @@ doc_id, so the output is identical at any parallelism level.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 import time
@@ -22,16 +23,11 @@ from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
 from typing import Callable, Sequence
 
-from .backend import BackendError, TranslationBackend
+from .backend import MAX_WAIT, BackendError, TranslationBackend
 from .corpus import Corpus, Document
-from .prompts import (
-    ContextEntry,
-    ExemplarEntry,
-    PromptSpec,
-    PromptTemplate,
-    prompt_hash,
-)
+from .prompts import ContextEntry, PromptSpec, PromptTemplate, prompt_hash
 from .retrieval import (
+    DEFAULT_ALPHA,
     DEFAULT_KEYWORD_COUNT,
     ExcludeFn,
     Exemplar,
@@ -62,7 +58,7 @@ class DecodingConfig:
 
     history_size: int = 3
     exemplar_count: int = 2
-    similarity_alpha: float = 0.5
+    similarity_alpha: float = DEFAULT_ALPHA
     keyword_count: int = DEFAULT_KEYWORD_COUNT
     template: PromptTemplate = field(default_factory=PromptTemplate)
     max_attempts: int = 3
@@ -82,6 +78,9 @@ class DecodingConfig:
             raise ValueError("retrieval.similarity_alpha must be in [0, 1]")
         if self.keyword_count < 1:
             raise ValueError("retrieval.keyword_count must be >= 1")
+        for key in ("backoff_initial", "backoff_factor"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"decoding.{key} must be a finite number")
         if self.fallback not in (FALLBACK_COPY_SOURCE, FALLBACK_ABORT):
             raise ValueError("decoding.fallback must be copy_source or abort")
 
@@ -143,10 +142,7 @@ def build_prompt(
     return PromptSpec(
         system_text=config.template.system,
         context_block=tuple(done[cursor - min(config.history_size, cursor):]),
-        exemplar_block=tuple(
-            ExemplarEntry(e.exemplar_id, e.doc_id, e.seg_index, e.source, e.target)
-            for e in hits
-        ),
+        exemplar_block=tuple(ContextEntry(e.seg_index, e.source, e.target) for e in hits),
         current_source=source,
     )
 
@@ -157,8 +153,9 @@ def _attempt_translation(
     config: DecodingConfig,
     sleep: Callable[[float], None],
 ) -> tuple[str | None, list[str]]:
-    """Up to max_attempts backend calls with exponential backoff; returns
-    (hypothesis or None, attempt outcomes)."""
+    """Up to max_attempts backend calls with exponential backoff; a wait
+    longer than MAX_WAIT ends them. Returns (hypothesis or None, attempt
+    outcomes)."""
     attempts: list[str] = []
     delay = config.backoff_initial
     for i in range(config.max_attempts):
@@ -175,6 +172,8 @@ def _attempt_translation(
                 break
             # a server's Retry-After is a floor under the backoff
             wait = max(delay, err.retry_after or 0.0)
+            if wait > MAX_WAIT:
+                break  # no retry is worth that wait: the fallback applies
             if i + 1 < config.max_attempts and wait > 0:
                 sleep(wait)
                 delay *= config.backoff_factor
@@ -231,7 +230,7 @@ def translate_document(
                 prompt_sha256=prompt_hash(spec, config.template),
                 attempts=tuple(attempts),
                 failed=failed,
-                exemplar_ids=tuple(e.exemplar_id for e in spec.exemplar_block),
+                exemplar_ids=tuple(e.exemplar_id for e in hits),
             )
         )
         history.append(ContextEntry(pair.seg_index, pair.source, hyp))

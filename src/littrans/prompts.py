@@ -10,6 +10,10 @@ Template placeholders: the main template takes {system}, {context},
 sub-templates take {entries}. Empty context/exemplar blocks render their
 whole section as the empty string, so with no history and no exemplars
 the rendered prompt is exactly the plain sentence-level template.
+
+ContextEntry fills both blocks: a history entry holds an earlier sentence of
+the document and its translation, an exemplar entry a retrieved source and
+its target. Only the source and translation reach the text.
 """
 
 from __future__ import annotations
@@ -100,19 +104,10 @@ class ContextEntry:
 
 
 @dataclass(frozen=True)
-class ExemplarEntry:
-    exemplar_id: str
-    doc_id: str
-    seg_index: int
-    source: str
-    translation: str
-
-
-@dataclass(frozen=True)
 class PromptSpec:
     system_text: str
     context_block: tuple[ContextEntry, ...]
-    exemplar_block: tuple[ExemplarEntry, ...]
+    exemplar_block: tuple[ContextEntry, ...]
     current_source: str
 
 

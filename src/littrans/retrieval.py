@@ -5,11 +5,12 @@ between tf-idf term vectors and Jaccard overlap between keyword sets,
 combined as ``alpha * cosine + (1 - alpha) * jaccard``.
 
 ExemplarIndex is the one pool type. It grows by append, which splits the
-source into terms once, keeps its term counts, updates the document
-frequencies and adds (position, count) to the postings of each term. Every
-append changes N and so every idf: it drops only the exemplar vectors, each
-weighed again the first time a query needs it. An idf is never stored; it is
-computed where it is used, from N and the term's document frequency.
+source into terms once, keeps its term counts and adds (position, count)
+to the postings of each term, so a term's document frequency is the length
+of its postings list. Every append changes N and so every idf: it drops only
+the exemplar vectors, each weighed again the first time a query needs it. An
+idf is never stored; it is computed where it is used, from N and that
+length.
 
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
@@ -96,7 +97,6 @@ class ExemplarIndex:
             raise ValueError("keyword_count must be >= 1")
         self.keyword_count = keyword_count
         self.exemplars: list[Exemplar] = []
-        self.doc_freq: Counter[str] = Counter()
         self._postings: dict[str, list[tuple[int, int]]] = {}  # term -> (position, count)
         # per exemplar: sum of squared term counts, number of keywords
         self._count_squares: list[int] = []
@@ -115,7 +115,6 @@ class ExemplarIndex:
         position = len(self.exemplars)
         ex = Exemplar(f"{doc_id}:{seg_index}", doc_id, seg_index, source, target, counts)
         self.exemplars.append(ex)
-        self.doc_freq.update(counts.keys())
         for t, c in counts.items():
             self._postings.setdefault(t, []).append((position, c))
         self._count_squares.append(sum(c * c for c in counts.values()))
@@ -124,8 +123,8 @@ class ExemplarIndex:
         return ex
 
     def _weigh(self, counts: Mapping[str, int]) -> _Vector:
-        n, doc_freq = len(self.exemplars), self.doc_freq
-        return _vector(counts, lambda t: _idf(n, doc_freq[t]), self.keyword_count)
+        n, postings = len(self.exemplars), self._postings
+        return _vector(counts, lambda t: _idf(n, len(postings.get(t, ()))), self.keyword_count)
 
     def _vector_at(self, position: int) -> _Vector:
         """One exemplar's vector under the current N, weighed at first use."""
@@ -155,7 +154,7 @@ class ExemplarIndex:
             postings = self._postings.get(t)
             if postings is None:
                 continue
-            idf = _idf(n, self.doc_freq[t])
+            idf = _idf(n, len(postings))
             keyword = t in q_keywords
             for position, c in postings:
                 w = c * idf

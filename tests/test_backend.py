@@ -16,7 +16,7 @@ from littrans.backend import (
     ScriptedBackend,
     TableBackend,
 )
-from littrans.prompts import ContextEntry, ExemplarEntry, PromptSpec
+from littrans.prompts import ContextEntry, PromptSpec
 
 
 def spec(source="你好", system="You are a careful translator.", context=(), exemplars=()):
@@ -31,7 +31,7 @@ def spec(source="你好", system="You are a careful translator.", context=(), ex
 GOLDEN_SPEC = spec(
     source="六七八",
     context=[ContextEntry(0, "一二三", "One two three.")],
-    exemplars=[ExemplarEntry("a:0", "a", 0, "四五", "Four five.")],
+    exemplars=[ContextEntry(0, "四五", "Four five.")],
 )
 
 
@@ -383,6 +383,23 @@ def test_http_retry_after_floors_the_decoder_backoff(stub):
     )
     assert result.traces[0].attempts == ("rate_limit", "ok")
     assert slept == [1.0]
+
+
+def test_http_retry_after_beyond_the_maximum_wait_falls_back(stub):
+    # time.sleep cannot even represent this wait (OverflowError); the
+    # decoder must give the sentence up, not sleep on it
+    from littrans.decoder import DecodingConfig, translate_document
+    from util import make_document
+
+    stub.enqueue(429, {"error": {"message": "slow down"}}, {"Retry-After": "100000000000000"})
+    result = translate_document(
+        make_document("d", ["風"]),
+        http_backend(stub),
+        config=DecodingConfig(max_attempts=3, backoff_initial=0),
+    )
+    assert result.hypotheses == ("風",)
+    assert result.traces[0].attempts == ("rate_limit",) and result.traces[0].failed
+    assert len(stub.captured) == 1
 
 
 def test_http_sequential_calls_share_one_connection(stub):

@@ -364,6 +364,43 @@ def test_out_of_range_value_is_config_error_naming_its_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    # a wait no run can sleep: time.sleep or the socket would raise
+    "decoding.backoff_initial=.inf",
+    "decoding.backoff_initial=.nan",
+    "decoding.backoff_factor=.inf",
+    "decoding.backoff_factor=.nan",
+    "backend.timeout=.inf",
+    "backend.timeout=.nan",
+    "backend.timeout=86401",
+    "backend.rate_limit_rps=.inf",
+    "backend.rate_limit_rps=.nan",
+    "backend.rate_limit_rps=1.0e-300",
+    "backend.rate_limit_rps=1.0e-5",
+    # every request refused, or every prompt too long
+    "backend.max_tokens=0",
+    "backend.max_tokens=-5",
+    "backend.max_prompt_chars=0",
+    "backend.max_prompt_chars=-1",
+])
+def test_value_no_run_could_use_is_config_error_naming_its_key(
+    toy_config_path, tmp_path, override, monkeypatch, capsys
+):
+    sent = []
+    monkeypatch.setattr(http.client.HTTPConnection, "request", lambda self, *a, **kw: sent.append(a))
+    out = tmp_path / "out"
+    code = run([
+        "translate", "--config", toy_config_path, "--out", str(out),
+        "--set", "backend.kind=http",
+        "--set", "backend.base_url=http://127.0.0.1:1",
+        "--set", override,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "Traceback" not in err
+    assert sent == [] and not out.exists()
+
+
 # --- evaluate ---
 
 @pytest.fixture()

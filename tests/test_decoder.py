@@ -4,7 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from littrans.backend import BackendError, IdentityBackend, ScriptedBackend, TableBackend
+from littrans.backend import (
+    MAX_WAIT,
+    BackendError,
+    IdentityBackend,
+    ScriptedBackend,
+    TableBackend,
+)
 from littrans.decoder import (
     DecodingConfig,
     DocumentAborted,
@@ -13,7 +19,7 @@ from littrans.decoder import (
     run_corpus,
     translate_document,
 )
-from littrans.prompts import ContextEntry, ExemplarEntry, PromptTemplate, render
+from littrans.prompts import ContextEntry, PromptTemplate, render
 from littrans.retrieval import Exemplar, build_index, similarity, top_k
 from util import (
     CapturingBackend,
@@ -83,7 +89,7 @@ def test_prompt_rejects_future_exemplar():
     with pytest.raises(ValueError, match="strictly before"):
         build_prompt("d", done_until(2), "s", [hit("d", 2)], fast())
     spec = build_prompt("d", done_until(2), "s", [hit("e", 9)], fast())
-    assert spec.exemplar_block == (ExemplarEntry("e:9", "e", 9, "s", "t"),)
+    assert spec.exemplar_block == (ContextEntry(9, "s", "t"),)
 
 
 # --- hypothesis cleanup ---
@@ -159,6 +165,23 @@ def test_backoff_schedule():
     )
     assert result.hypotheses[0] == "A"
     assert slept == [1.0, 2.0]
+
+
+def test_a_wait_beyond_the_maximum_ends_the_retries():
+    # the first wait is exactly the maximum and is slept; the second would
+    # be twice that, so the sentence falls back instead
+    script = {"alpha one": [{"error": "network"}], "beta two": "B", "gamma three": "C"}
+    slept = []
+    result = translate_document(
+        doc_abc(),
+        ScriptedBackend(script),
+        config=DecodingConfig(max_attempts=3, backoff_initial=MAX_WAIT, backoff_factor=2.0),
+        sleep=slept.append,
+    )
+    assert slept == [MAX_WAIT]
+    assert result.traces[0].attempts == ("network", "network")
+    assert result.traces[0].failed and result.hypotheses[0] == "alpha one"
+    assert result.hypotheses[1:] == ("B", "C")
 
 
 def test_retry_exhaustion_copies_source():

@@ -4,7 +4,6 @@ import pytest
 
 from littrans.prompts import (
     ContextEntry,
-    ExemplarEntry,
     PromptSpec,
     PromptTemplate,
     TemplateError,
@@ -41,7 +40,7 @@ def test_context_and_exemplar_sections():
     rendered = render(
         spec_with(
             context=[ContextEntry(0, "s0", "h0"), ContextEntry(1, "s1", "h1")],
-            exemplars=[ExemplarEntry("x:0", "x", 0, "es", "et")],
+            exemplars=[ContextEntry(0, "es", "et")],
         ),
         template,
     )

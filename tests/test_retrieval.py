@@ -29,6 +29,7 @@ from util import (
     make_corpus,
     make_document,
     random_words,
+    source_doc_freq,
 )
 
 # toy pool used by the hand-computed cases:
@@ -48,7 +49,7 @@ def toy_index():
 
 def test_build_index_df_table(toy_index):
     # oracle: manual document-frequency count over the three sources
-    assert toy_index.doc_freq == {"a": 2, "b": 2, "c": 2, "d": 1}
+    assert source_doc_freq(toy_index) == {"a": 2, "b": 2, "c": 2, "d": 1}
     assert toy_index.total_docs == 3
     weights = toy_index._weigh(Counter(["a", "d", "unseen"]))[0]
     assert math.isclose(weights["a"], math.log(4 / 3) + 1)
@@ -63,7 +64,7 @@ def test_build_index_weights(toy_index):
     wd = math.log(2) + 1
     weights = toy_index._weigh(Counter(terms(ex.source)))[0]
     assert weights == pytest.approx({"c": w, "d": wd, "a": w})
-    assert set(weights) <= set(toy_index.doc_freq)
+    assert set(weights) <= set(source_doc_freq(toy_index))
 
 
 def test_empty_pool():
@@ -220,7 +221,7 @@ def test_index_grows_by_append():
     assert [e.seg_index for e in top_k("a", index, 1)] == [0]
     index.append("b c", "B C", "d", 1)
     assert index.total_docs == 2
-    assert index.doc_freq == {"a": 1, "b": 2, "c": 1}
+    assert source_doc_freq(index) == {"a": 1, "b": 2, "c": 1}
     # the append changed N, so every weight follows the new table
     w = math.log(3 / 2) + 1
     assert index._weigh(Counter(terms("a b c")))[0] == pytest.approx({"a": w, "b": 1.0, "c": w})

@@ -97,14 +97,21 @@ def naive_tokenize_intl(text: str, lowercase: bool = False) -> list[str]:
     return text.split()
 
 
+def source_doc_freq(index: ExemplarIndex) -> Counter:
+    """Document frequency of every term, counted from the pool's sources
+    with terms(), never read from the index."""
+    return Counter(t for ex in index.exemplars for t in set(terms(ex.source)))
+
+
 def brute_force_scores(query, index: ExemplarIndex, exclude=None, alpha=0.5):
     """(score, exemplar) for every non-excluded exemplar, recomputing every
-    quantity from the raw frequency table rather than reusing the index's
-    materialized vectors."""
+    quantity from the pool's sources rather than reusing the index's
+    postings or materialized vectors."""
     n_docs = index.total_docs
+    doc_freq = source_doc_freq(index)
 
     def idf(term):
-        return math.log((1 + n_docs) / (1 + index.doc_freq.get(term, 0))) + 1.0
+        return math.log((1 + n_docs) / (1 + doc_freq[term])) + 1.0
 
     def vector(text):
         v = {}
@@ -151,13 +158,15 @@ def brute_force_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
 def full_scan_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
     """top_k by scoring every non-excluded exemplar with retrieval._score.
 
-    Vectors are weighed here from the frequency table, never from the
-    index's caches, with the same arithmetic as the index, so the floats are
-    the ones top_k compares and the ids must match exactly."""
+    Vectors are weighed here from the document frequencies of the pool's
+    sources, never from the index's postings or caches, with the same
+    arithmetic as the index, so the floats are the ones top_k compares and
+    the ids must match exactly."""
     n_docs = index.total_docs
+    doc_freq = source_doc_freq(index)
 
     def weigh(counts):
-        idf = lambda t: retrieval._idf(n_docs, index.doc_freq.get(t, 0))  # noqa: E731
+        idf = lambda t: retrieval._idf(n_docs, doc_freq[t])  # noqa: E731
         return retrieval._vector(counts, idf, index.keyword_count)
 
     q = weigh(Counter(terms(query)))
