@@ -7,24 +7,26 @@ combined as ``alpha * cosine + (1 - alpha) * jaccard``.
 ExemplarIndex is the one pool type. It grows by append, which splits the
 source into terms once, keeps its term counts and adds (position, count)
 to the postings of each term, so a term's document frequency is the length
-of its postings list. Every append changes N and so every idf: it drops only
-the exemplar vectors, each weighed again the first time a query needs it. An
-idf is never stored; it is computed where it is used, from N and that
-length.
+of its postings list. Every append changes N and so every idf: it drops the
+exemplar vectors, each weighed again the first time a query needs it, and
+the idf table, the idf of every document frequency 0..N, filled in full at
+its first use.
 
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
 upper bound on its score (see ExemplarIndex._bounds); an exemplar that
-shares no term scores 0 and is never returned. It then scores exemplars in
-descending bound with _score, the one scorer that similarity() also uses,
-weighing each one only then, and stops when the next bound falls below the
-k-th best score so far by more than a rounding margin. Every exemplar that
+shares no term scores 0 and is never returned. On a built index, whose
+vectors are all weighed, the bound uses each exemplar's exact norm; on a
+grown one, a lower bound on it. It then scores exemplars in descending
+bound with _score, the one scorer that similarity() also uses, weighing
+each one only then, and stops when the next bound falls below the k-th
+best score so far by more than a rounding margin. Every exemplar that
 could still enter the top k, ties included, has been scored with the same
 floats as a full scan, so the ids are those a full scan returns.
 
-build_index weighs the whole pool before it returns, so queries never write
-a built index and concurrent queries are safe. Incremental decoding appends
-to a per-document index of its own.
+build_index weighs the whole pool and fills the idf table before it
+returns, so queries never write a built index and concurrent queries are
+safe. Incremental decoding appends to a per-document index of its own.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .tokenization import terms
@@ -77,14 +81,17 @@ def _top_terms(weights: dict[str, float], m: int) -> list[str]:
 
 
 def _norm(u: dict[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in u.values()))
+    return math.sqrt(sum(map(mul, u.values(), u.values())))
 
 
-def _vector(
-    counts: Mapping[str, int], idf: Callable[[str], float], keyword_count: int
-) -> _Vector:
-    """The one place a text's weights, norm and keywords are computed."""
-    weights = {t: c * idf(t) for t, c in counts.items()}
+def _vector(counts: Mapping[str, int], idf: Callable[[str], float], keyword_count: int) -> _Vector:
+    """_weighed with idf(term) for each term, for callers that hold no idf table."""
+    return _weighed(counts, map(idf, counts), keyword_count)
+
+
+def _weighed(counts: Mapping[str, int], idfs: Iterable[float], keyword_count: int) -> _Vector:
+    """The one place a text's weights, norm and keywords are computed; idfs in counts order."""
+    weights = dict(zip(counts, map(mul, counts.values(), idfs)))
     return weights, _norm(weights), frozenset(_top_terms(weights, keyword_count))
 
 
@@ -101,8 +108,9 @@ class ExemplarIndex:
         # per exemplar: sum of squared term counts, number of keywords
         self._count_squares: list[int] = []
         self._keyword_sizes: list[int] = []
-        # exemplar vectors under the current N, dropped by append
+        # under the current N, dropped by append: vectors by position, idf by df 0..N
         self._vectors: dict[int, _Vector] = {}
+        self._idf_by_df: list[float] = []
 
     @property
     def total_docs(self) -> int:
@@ -120,11 +128,17 @@ class ExemplarIndex:
         self._count_squares.append(sum(c * c for c in counts.values()))
         self._keyword_sizes.append(min(self.keyword_count, len(counts)))
         self._vectors = {}
+        self._idf_by_df = []
         return ex
 
+    def _idfs(self) -> list[float]:
+        if not self._idf_by_df:  # filled in full at first use
+            self._idf_by_df = list(map(_idf, repeat(self.total_docs), range(self.total_docs + 1)))
+        return self._idf_by_df
+
     def _weigh(self, counts: Mapping[str, int]) -> _Vector:
-        n, postings = len(self.exemplars), self._postings
-        return _vector(counts, lambda t: _idf(n, len(postings.get(t, ()))), self.keyword_count)
+        dfs = map(len, map(self._postings.get, counts, repeat(())))
+        return _weighed(counts, map(self._idfs().__getitem__, dfs), self.keyword_count)
 
     def _vector_at(self, position: int) -> _Vector:
         """One exemplar's vector under the current N, weighed at first use."""
@@ -140,13 +154,18 @@ class ExemplarIndex:
         the others score 0.
 
         Both sides weigh a shared term with the same idf, so the dot product
-        over the shared terms is the exact one. Every idf is at least 1, so
-        the exemplar's norm is at least sqrt(shared weights squared + counts
-        squared of its other terms). Its keywords can only be query keywords
-        it contains, and it has min(keyword_count, distinct terms) of them.
+        over the shared terms is the exact one. A built index has every
+        exemplar's exact norm, so its cosine differs from _score's only in
+        the order of the sum. A grown one bounds the norm from below, as
+        every idf is at least 1, by sqrt(shared weights squared + counts
+        squared of the other terms). The exemplar's keywords can only be
+        query keywords it contains, and it has min(keyword_count, distinct
+        terms) of them.
         """
         q_weights, q_norm, q_keywords = query
         n = len(self.exemplars)
+        idfs = self._idfs()
+        built = len(self._vectors) == n  # every exact norm is known
         dot = [0.0] * n
         excess = [0.0] * n  # over the shared terms: weight squared minus count squared
         found = [0] * n  # query keywords among the exemplar's terms
@@ -154,14 +173,18 @@ class ExemplarIndex:
             postings = self._postings.get(t)
             if postings is None:
                 continue
-            idf = _idf(n, len(postings))
-            keyword = t in q_keywords
-            for position, c in postings:
-                w = c * idf
-                dot[position] += q_weight * w
-                excess[position] += w * w - c * c
-                if keyword:
+            idf = idfs[len(postings)]
+            if t in q_keywords:
+                for position, _c in postings:
                     found[position] += 1
+            if built:
+                for position, c in postings:
+                    dot[position] += q_weight * (c * idf)
+            else:
+                for position, c in postings:
+                    w = c * idf
+                    dot[position] += q_weight * w
+                    excess[position] += w * w - c * c
         count_squares = self._count_squares
         keyword_sizes = self._keyword_sizes
         q_keyword_count = len(q_keywords)
@@ -172,7 +195,11 @@ class ExemplarIndex:
                 j = found[position]
                 if j > kc:
                     j = kc
-                cosine = d / (q_norm * math.sqrt(count_squares[position] + excess[position]))
+                if built:
+                    norm = self._vectors[position][1]
+                else:
+                    norm = math.sqrt(count_squares[position] + excess[position])
+                cosine = d / (q_norm * norm)
                 jaccard = j / (q_keyword_count + kc - j)
                 bound = alpha * cosine + (1.0 - alpha) * jaccard
                 if bound > 0.0:  # 0 only at alpha 0 without a query keyword: scores 0
@@ -188,11 +215,12 @@ def build_index(
 
     Term weights are tf-idf with idf = ln((1 + N) / (1 + df)) + 1; keywords
     are the keyword_count terms of highest weight, extracted against the
-    finished frequency table. The index is weighed before it returns.
+    finished frequency table. Its vectors and idf table are filled before it returns.
     """
     index = ExemplarIndex(keyword_count)
     for source, target, doc_id, seg_index in pool:
         index.append(source, target, doc_id, seg_index)
+    index._idfs()
     for position in range(index.total_docs):
         index._vector_at(position)  # weighed now, a query never writes it: threads can share it
     return index
@@ -203,7 +231,8 @@ def _cosine(u: dict[str, float], norm_u: float, v: dict[str, float], norm_v: flo
         return 0.0
     if len(u) > len(v):
         u, v = v, u
-    dot = sum(w * v[t] for t, w in u.items() if t in v)
+    shared = list(filter(v.__contains__, u))
+    dot = sum(map(mul, map(u.__getitem__, shared), map(v.__getitem__, shared)))
     return dot / (norm_u * norm_v)
 
 

@@ -28,6 +28,9 @@ from util import (
     full_scan_top_k,
     make_corpus,
     make_document,
+    per_term_cosine,
+    per_term_norm,
+    per_term_vector,
     random_words,
     source_doc_freq,
 )
@@ -370,6 +373,57 @@ def test_bounds_cover_exact_scores(sentences, alpha, keyword_count):
         index.append(source, source.upper(), "d", i)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tie_prone_sentences, tie_prone_sentences, alphas, st.integers(1, 5))
+def test_bounds_cover_exact_scores_on_a_built_index(sentences, queries, alpha, keyword_count):
+    # a built index bounds with each exemplar's exact norm; "g" is outside
+    # the pool
+    index = build_index([(source, "t", "d", i) for i, source in enumerate(sentences)], keyword_count)
+    for query in sentences + queries + ["a g", "g"]:
+        q = index._weigh(Counter(terms(query)))
+        bounds = index._bounds(q, alpha)
+        for position in range(index.total_docs):
+            score = retrieval._score(q, index._vector_at(position), alpha)[0]
+            if position in bounds:
+                assert bounds[position] >= score - 1e-9, (query, position)
+                if alpha == 1.0:  # the bound is the exact cosine, summed in another order
+                    assert bounds[position] <= score + 1e-9, (query, position)
+            else:
+                assert score == 0.0, (query, position)
+
+
+weight_dicts = st.dictionaries(
+    st.sampled_from("abcdefgh"), st.floats(0.0, 1e3, allow_subnormal=False), max_size=8
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_dicts, weight_dicts)
+def test_norm_and_cosine_equal_their_per_term_forms(u, v):
+    norm_u, norm_v = retrieval._norm(u), retrieval._norm(v)
+    assert norm_u == per_term_norm(u) and norm_v == per_term_norm(v)
+    assert retrieval._cosine(u, norm_u, v, norm_v) == per_term_cosine(u, norm_u, v, norm_v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_prone_sentences, tie_prone_sentences, st.integers(1, 5))
+def test_weighing_equals_its_per_term_form(sentences, queries, keyword_count):
+    index = ExemplarIndex(keyword_count)
+    for i, source in enumerate(sentences):
+        index.append(source, source.upper(), "d", i)
+    doc_freq = source_doc_freq(index)
+
+    def idf(t):
+        return retrieval._idf(index.total_docs, doc_freq[t])
+
+    for query in sentences + queries + ["a g"]:
+        counts = Counter(terms(query))
+        expected = per_term_vector(counts, idf, keyword_count)
+        for got in (index._weigh(counts), retrieval._vector(counts, idf, keyword_count)):
+            assert got == expected
+            assert list(got[0]) == list(expected[0])  # the order _norm sums in
+
+
 def zipf_sentences(n, seed):
     """n zh-like sentences: Zipf-skewed words of one or two ideographs,
     sometimes "，" between words, "。" at the end."""
@@ -406,6 +460,34 @@ def test_decoding_rescores_a_fraction_of_the_prefix(monkeypatch):
     result = translate_document(doc, IdentityBackend(), config=config)
     assert any(t.exemplar_ids for t in result.traces)
     assert len(calls) <= PINNED_RESCORED_SHARE * sum(range(300))
+
+
+# stage 3 scores 300 queries against a built pool of 300, 90000 pairs in a
+# full scan; bounds with the exact norms leave 0.019 (1741) of them, the
+# idf >= 1 lower bound on the norms 0.115 (10368)
+PINNED_STAGE3_RESCORED_SHARE = 0.04
+
+
+def test_stage3_rescores_a_fraction_of_the_pool(monkeypatch):
+    sentences = zipf_sentences(300, seed=7)
+    docs = [
+        make_document(f"d{i}", [(s, f"t{i}") for s in sentences[60 * i:60 * (i + 1)]])
+        for i in range(5)
+    ]
+    corpus = make_corpus(docs)
+    index = build_index(pool_from_pairs(p for doc in corpus.documents for p in doc.pairs()))
+    calls = []
+    score = retrieval._score
+
+    def counting(*args):
+        calls.append(None)
+        return score(*args)
+
+    monkeypatch.setattr(retrieval, "_score", counting)
+    config = DecodingConfig(history_size=1, exemplar_count=2)
+    records = build_stage3_instructions(corpus, config, index)
+    assert len(records) == 300
+    assert len(calls) <= PINNED_STAGE3_RESCORED_SHARE * 300 * 300
 
 
 def test_a_dropped_index_is_freed_by_refcount_alone():

@@ -181,6 +181,31 @@ def full_scan_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
     return [ex for _s, ex in scored[:k]]
 
 
+def per_term_norm(u):
+    """retrieval._norm one term at a time: the same products, summed in the
+    same order."""
+    return math.sqrt(sum(w * w for w in u.values()))
+
+
+def per_term_cosine(u, norm_u, v, norm_v):
+    """retrieval._cosine one shared term at a time, over the smaller vector."""
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
+    if len(u) > len(v):
+        u, v = v, u
+    dot = sum(w * v[t] for t, w in u.items() if t in v)
+    return dot / (norm_u * norm_v)
+
+
+def per_term_vector(counts, idf, keyword_count):
+    """retrieval._vector one term at a time: weights c * idf(t) in counts
+    order, their norm, and the keyword_count heaviest terms (first
+    occurrence breaks ties)."""
+    weights = {t: c * idf(t) for t, c in counts.items()}
+    keywords = sorted(weights, key=weights.__getitem__, reverse=True)[:keyword_count]
+    return weights, per_term_norm(weights), frozenset(keywords)
+
+
 def make_document(doc_id, sentences, chapter_breaks=(), chapter_prefix="c"):
     """Build a Document from sentence strings or (source, target) tuples;
     chapter_breaks are seg_index values that open a new chapter."""
