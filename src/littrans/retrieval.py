@@ -15,18 +15,22 @@ its first use.
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
 upper bound on its score (see ExemplarIndex._bounds); an exemplar that
-shares no term scores 0 and is never returned. On a built index, whose
-vectors are all weighed, the bound uses each exemplar's exact norm; on a
-grown one, a lower bound on it. It then scores exemplars in descending
-bound with _score, the one scorer that similarity() also uses, weighing
-each one only then, and stops when the next bound falls below the k-th
-best score so far by more than a rounding margin. Every exemplar that
-could still enter the top k, ties included, has been scored with the same
-floats as a full scan, so the ids are those a full scan returns.
+shares no term scores 0 and is never returned. The bound uses each
+exemplar's exact norm: a built index, whose vectors are all weighed, reads
+it from the vector; a grown one computes it, less a slack, from N, the sum
+of squared counts and two moments of the terms' ln(1 + df), which the first
+grown-index query fills in full and each later append keeps current. It
+then scores exemplars in descending bound with _score, the one scorer that
+similarity() also uses, weighing each one only then, and stops when the
+next bound falls below the k-th best score so far by more than a rounding
+margin. Every exemplar that could still enter the top k, ties included, has
+been scored with the same floats as a full scan, so the ids are those a
+full scan returns.
 
 build_index weighs the whole pool and fills the idf table before it
-returns, so queries never write a built index and concurrent queries are
-safe. Incremental decoding appends to a per-document index of its own.
+returns, and never fills the moments, so queries never write a built index
+and concurrent queries are safe. Incremental decoding appends to a
+per-document index of its own.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ ExcludeFn = Callable[[str, int], bool]
 
 # absorbs the rounding of a bound, which sums in another order than _score
 _BOUND_MARGIN = 1e-9
+# share of its terms' magnitude taken off a grown index's squared norm, for
+# the cancellation and the drift of the sums that append keeps
+_NORM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,9 @@ class ExemplarIndex:
         # per exemplar: sum of squared term counts, number of keywords
         self._count_squares: list[int] = []
         self._keyword_sizes: list[int] = []
+        # per exemplar, the sums of c² ln(1 + df) and c² ln(1 + df)² over its
+        # terms; None until a grown index's _bounds first needs them
+        self._moments: tuple[list[float], list[float]] | None = None
         # under the current N, dropped by append: vectors by position, idf by df 0..N
         self._vectors: dict[int, _Vector] = {}
         self._idf_by_df: list[float] = []
@@ -123,8 +133,17 @@ class ExemplarIndex:
         position = len(self.exemplars)
         ex = Exemplar(f"{doc_id}:{seg_index}", doc_id, seg_index, source, target, counts)
         self.exemplars.append(ex)
+        moments = self._moments
+        if moments is not None:
+            moments[0].append(0.0)
+            moments[1].append(0.0)
         for t, c in counts.items():
-            self._postings.setdefault(t, []).append((position, c))
+            postings = self._postings.setdefault(t, [])
+            if moments is not None:  # df rises by one: ln(1 + df) goes from old to new
+                old, new = math.log(1 + len(postings)), math.log(2 + len(postings))
+                self._add_moments(postings, old, new)
+                self._add_moments(((position, c),), 0.0, new)
+            postings.append((position, c))
         self._count_squares.append(sum(c * c for c in counts.values()))
         self._keyword_sizes.append(min(self.keyword_count, len(counts)))
         self._vectors = {}
@@ -148,6 +167,17 @@ class ExemplarIndex:
             self._vectors[position] = vector
         return vector
 
+    def _add_moments(self, postings: Iterable[tuple[int, int]], old: float, new: float) -> None:
+        """Move the moments of each exemplar on postings from a term's
+        ln(1 + df) = old to new: add c² (new - old) and c² (new² - old²)."""
+        s1, s2 = self._moments
+        d1 = new - old
+        d2 = new * new - old * old
+        for position, c in postings:
+            cc = c * c
+            s1[position] += cc * d1
+            s2[position] += cc * d2
+
     def _bounds(self, query: _Vector, alpha: float) -> dict[int, float]:
         """An upper bound on the combined score of every exemplar that
         shares a term with the query and may score above 0, by position;
@@ -155,19 +185,26 @@ class ExemplarIndex:
 
         Both sides weigh a shared term with the same idf, so the dot product
         over the shared terms is the exact one. A built index has every
-        exemplar's exact norm, so its cosine differs from _score's only in
-        the order of the sum. A grown one bounds the norm from below, as
-        every idf is at least 1, by sqrt(shared weights squared + counts
-        squared of the other terms). The exemplar's keywords can only be
-        query keywords it contains, and it has min(keyword_count, distinct
-        terms) of them.
+        exemplar's exact norm in its vector. A grown one computes it from
+        the moments: as idf = A - ln(1 + df) with A = ln(1 + N) + 1, the
+        squared norm is A² S0 - 2A S1 + S2, where S0 is the sum of squared
+        counts and S1, S2 the moments. The first grown-index call fills them
+        in full, append keeps them after that, and build_index never does.
+        It takes off _NORM_SLACK (A² S0 + 2A S1 + S2) and never goes below
+        S0, the squared norm if every idf were 1, so the bound differs from
+        _score's cosine by rounding and that slack. The exemplar's keywords
+        can only be query keywords it contains, and it has
+        min(keyword_count, distinct terms) of them.
         """
         q_weights, q_norm, q_keywords = query
         n = len(self.exemplars)
         idfs = self._idfs()
         built = len(self._vectors) == n  # every exact norm is known
+        if not built and self._moments is None:  # filled in full at first use
+            self._moments = ([0.0] * n, [0.0] * n)
+            for postings in self._postings.values():
+                self._add_moments(postings, 0.0, math.log(1 + len(postings)))
         dot = [0.0] * n
-        excess = [0.0] * n  # over the shared terms: weight squared minus count squared
         found = [0] * n  # query keywords among the exemplar's terms
         for t, q_weight in q_weights.items():
             postings = self._postings.get(t)
@@ -177,15 +214,11 @@ class ExemplarIndex:
             if t in q_keywords:
                 for position, _c in postings:
                     found[position] += 1
-            if built:
-                for position, c in postings:
-                    dot[position] += q_weight * (c * idf)
-            else:
-                for position, c in postings:
-                    w = c * idf
-                    dot[position] += q_weight * w
-                    excess[position] += w * w - c * c
+            for position, c in postings:
+                dot[position] += q_weight * (c * idf)
+        a = math.log(1 + n) + 1.0
         count_squares = self._count_squares
+        s1, s2 = self._moments or ((), ())
         keyword_sizes = self._keyword_sizes
         q_keyword_count = len(q_keywords)
         bounds = {}
@@ -198,7 +231,12 @@ class ExemplarIndex:
                 if built:
                     norm = self._vectors[position][1]
                 else:
-                    norm = math.sqrt(count_squares[position] + excess[position])
+                    s0 = count_squares[position]
+                    a0 = a * a * s0
+                    a1 = 2.0 * a * s1[position]
+                    a2 = s2[position]
+                    squared = a0 - a1 + a2 - _NORM_SLACK * (a0 + a1 + a2)
+                    norm = math.sqrt(squared if squared > s0 else s0)
                 cosine = d / (q_norm * norm)
                 jaccard = j / (q_keyword_count + kc - j)
                 bound = alpha * cosine + (1.0 - alpha) * jaccard

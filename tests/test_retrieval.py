@@ -357,19 +357,57 @@ def test_top_k_equals_full_scan_on_a_built_index(sentences, alpha, k, keyword_co
         ), (doc_id, seg_index)
 
 
+def assert_bounds_cover_exact_scores(index, query, alpha):
+    """Every bound covers its exact score, and only zero scores are left
+    out; at alpha 1 the bound is the cosine with the exact norm, less a
+    slack."""
+    q = index._weigh(Counter(terms(query)))
+    bounds = index._bounds(q, alpha)
+    for position in range(index.total_docs):
+        score = retrieval._score(q, index._vector_at(position), alpha)[0]
+        if position in bounds:
+            assert bounds[position] >= score - 1e-9, (query, position)
+            if alpha == 1.0:
+                assert bounds[position] <= score + 1e-6, (query, position)
+        else:
+            assert score == 0.0, (query, position)
+
+
 @settings(max_examples=100, deadline=None)
 @given(tie_prone_sentences, alphas, st.integers(1, 5))
 def test_bounds_cover_exact_scores(sentences, alpha, keyword_count):
+    # each query runs on a grown index: the append before it dropped the
+    # vectors the previous query weighed
     index = ExemplarIndex(keyword_count)
     for i, source in enumerate(sentences):
-        q = index._weigh(Counter(terms(source)))
-        bounds = index._bounds(q, alpha)
-        for position in range(index.total_docs):
-            score = retrieval._score(q, index._vector_at(position), alpha)[0]
-            if position in bounds:
-                assert bounds[position] >= score - 1e-9, (i, position)
-            else:
-                assert score == 0.0, (i, position)
+        assert_bounds_cover_exact_scores(index, source, alpha)
+        index.append(source, source.upper(), "d", i)
+
+
+def test_bounds_cover_exact_scores_over_a_long_document():
+    # a thousand appends keep the grown index's norms current: every 50th
+    # query checks that their sums have not drifted out of the slack
+    index = ExemplarIndex()
+    for i, source in enumerate(zipf_sentences(1000, seed=7)):
+        if i % 50 == 0:
+            assert_bounds_cover_exact_scores(index, source, 1.0)
+        index.append(source, source.upper(), "d", i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_prone_sentences, alphas, st.integers(1, 3), st.integers(1, 5))
+def test_appends_after_a_build_keep_the_ids_and_bounds(sentences, alpha, k, keyword_count):
+    # the first query after the build's vectors are dropped fills the
+    # grown index's norms in full, over every exemplar built before it
+    half = len(sentences) // 2
+    pool = [(source, "t", "d", i) for i, source in enumerate(sentences[:half])]
+    index = build_index(pool, keyword_count)
+    for i, source in enumerate(sentences[half:], start=half):
+        exclude = exclude_at_or_after("d", i)
+        assert ids(top_k(source, index, k, exclude=exclude, alpha=alpha)) == ids(
+            full_scan_top_k(source, index, k, exclude=exclude, alpha=alpha)
+        ), i
+        assert_bounds_cover_exact_scores(index, source, alpha)
         index.append(source, source.upper(), "d", i)
 
 
@@ -442,8 +480,9 @@ def zipf_sentences(n, seed):
 
 
 # a full scan scores every prefix exemplar, a share of 1.0 of the summed
-# pool sizes; the bounds leave 0.158 (7068 of 44850) on this document
-PINNED_RESCORED_SHARE = 0.25
+# pool sizes; bounds with the exact norms leave 0.032 (1433 of 44850) on
+# this document, the idf >= 1 lower bound on the norms 0.158 (7068)
+PINNED_RESCORED_SHARE = 0.05
 
 
 def test_decoding_rescores_a_fraction_of_the_prefix(monkeypatch):
