@@ -10,6 +10,8 @@ Pieces:
   decoder       incremental document decoding with history + exemplars
   backend       translation backends (mocks + HTTP chat-completions client)
   metrics       s-BLEU / d-BLEU scoring
+  config        YAML config loader: every key's one type, default and range
+  tokenization  CJK-aware segmentation for token budgets and retrieval terms
   cli           command-line driver (prepare / translate / evaluate / validate)
 """
 

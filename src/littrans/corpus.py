@@ -168,7 +168,7 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
         pairs.append(
             SentencePair(
                 doc_id=doc_id,
-                chapter_id=str(rec.get("chapter_id", "") or ""),
+                chapter_id=rec.get("chapter_id") or "",
                 seg_index=seg,
                 source=_text(line, "source", rec["source"]),
                 target=None if target is None else _text(line, "target", target),
@@ -226,8 +226,9 @@ def load_records(
     path = Path(path)
     docs: dict[str, list[tuple[int, dict]]] = {}
     for line_no, rec in read_jsonl(path, ("doc_id", "source")):
-        if rec.get("target") is not None and not isinstance(rec["target"], str):
-            raise CorpusFormatError(f"line {line_no}: non-string target")
+        for key in ("chapter_id", "target"):
+            if rec.get(key) is not None and not isinstance(rec[key], str):
+                raise CorpusFormatError(f"line {line_no}: non-string {key!r}")
         docs.setdefault(rec["doc_id"], []).append((line_no, rec))
     return _finish_corpus(docs, language_pair, source_name or path.name)
 

@@ -91,11 +91,6 @@ def _norm(u: dict[str, float]) -> float:
     return math.sqrt(sum(map(mul, u.values(), u.values())))
 
 
-def _vector(counts: Mapping[str, int], idf: Callable[[str], float], keyword_count: int) -> _Vector:
-    """_weighed with idf(term) for each term, for callers that hold no idf table."""
-    return _weighed(counts, map(idf, counts), keyword_count)
-
-
 def _weighed(counts: Mapping[str, int], idfs: Iterable[float], keyword_count: int) -> _Vector:
     """The one place a text's weights, norm and keywords are computed; idfs in counts order."""
     weights = dict(zip(counts, map(mul, counts.values(), idfs)))

@@ -575,6 +575,27 @@ def test_source_with_lone_surrogate_is_rejected_by_every_command(tmp_path, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["validate"], ["prepare", "1"]])
+def test_non_string_chapter_id_is_rejected(tmp_path, command, capsys):
+    # 0 and false are not the implicit chapter "", so this file does not
+    # fail as if a chapter "" it never named restarted
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({"doc_id": "a", "chapter_id": chapter_id, "source": source}) + "\n"
+            for chapter_id, source in [(0, "山风"), (1, "高原"), (False, "夜")]
+        ),
+        encoding="utf-8",
+    )
+    config = tmp_path / "c.yaml"
+    config.write_text("corpus:\n  records: c.jsonl\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 1: non-string 'chapter_id'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_config_flag(capsys):
     assert run(["validate"]) == 1
     assert "--config" in capsys.readouterr().err

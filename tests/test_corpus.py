@@ -148,6 +148,29 @@ def test_chapter_restart_is_error(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("chapter_id", [0, False, [1], 1.5, {}], ids=repr)
+def test_non_string_chapter_id_is_error(tmp_path, chapter_id):
+    # 0 and false are not the implicit chapter, and [1] is not chapter "[1]"
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "a", "chapter_id": "c1", "seg_index": 0, "source": "x"},
+        {"doc_id": "a", "chapter_id": chapter_id, "seg_index": 1, "source": "y"},
+    ])
+    with pytest.raises(CorpusFormatError, match="^line 2: non-string 'chapter_id'$"):
+        load_records(path)
+
+
+def test_null_and_empty_chapter_id_are_the_implicit_chapter(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "a", "chapter_id": None, "source": "x"},
+        {"doc_id": "a", "chapter_id": "", "source": "y"},
+        {"doc_id": "a", "source": "z"},
+    ])
+    (chapter,) = load_records(path).documents[0].chapters
+    assert chapter.chapter_id == "" and len(chapter.pairs) == 3
+
+
 def test_whitespace_only_source_is_error(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [

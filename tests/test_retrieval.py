@@ -457,7 +457,7 @@ def test_weighing_equals_its_per_term_form(sentences, queries, keyword_count):
     for query in sentences + queries + ["a g"]:
         counts = Counter(terms(query))
         expected = per_term_vector(counts, idf, keyword_count)
-        for got in (index._weigh(counts), retrieval._vector(counts, idf, keyword_count)):
+        for got in (index._weigh(counts), retrieval._weighed(counts, map(idf, counts), keyword_count)):
             assert got == expected
             assert list(got[0]) == list(expected[0])  # the order _norm sums in
 

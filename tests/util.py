@@ -16,7 +16,7 @@ from littrans import retrieval
 from littrans.corpus import Chapter, Corpus, Document, SentencePair
 from littrans.prompts import render
 from littrans.retrieval import ExemplarIndex
-from littrans.tokenization import terms
+from littrans.tokenization import _CJK_RANGES, terms
 
 
 def naive_bleu(
@@ -97,6 +97,40 @@ def naive_tokenize_intl(text: str, lowercase: bool = False) -> list[str]:
     return text.split()
 
 
+def naive_is_cjk_char(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+
+
+def naive_segment_text(text: str) -> list[str]:
+    """tokenization.segment_text one character at a time."""
+    tokens: list[str] = []
+    word: list[str] = []
+    for ch in text:
+        if naive_is_cjk_char(ch):
+            if word:
+                tokens.append("".join(word))
+                word = []
+            tokens.append(ch)
+        elif ch.isspace():
+            if word:
+                tokens.append("".join(word))
+                word = []
+        else:
+            word.append(ch)
+    if word:
+        tokens.append("".join(word))
+    return tokens
+
+
+def naive_cjk_ratio(text: str) -> float:
+    """tokenization.cjk_ratio one character at a time."""
+    chars = [c for c in text if not c.isspace()]
+    if not chars:
+        return 0.0
+    return sum(1 for c in chars if naive_is_cjk_char(c)) / len(chars)
+
+
 def source_doc_freq(index: ExemplarIndex) -> Counter:
     """Document frequency of every term, counted from the pool's sources
     with terms(), never read from the index."""
@@ -167,7 +201,7 @@ def full_scan_top_k(query, index: ExemplarIndex, k, exclude=None, alpha=0.5):
 
     def weigh(counts):
         idf = lambda t: retrieval._idf(n_docs, doc_freq[t])  # noqa: E731
-        return retrieval._vector(counts, idf, index.keyword_count)
+        return retrieval._weighed(counts, map(idf, counts), index.keyword_count)
 
     q = weigh(Counter(terms(query)))
     scored = []
@@ -198,9 +232,9 @@ def per_term_cosine(u, norm_u, v, norm_v):
 
 
 def per_term_vector(counts, idf, keyword_count):
-    """retrieval._vector one term at a time: weights c * idf(t) in counts
-    order, their norm, and the keyword_count heaviest terms (first
-    occurrence breaks ties)."""
+    """retrieval._weighed with idf(t) per term, one term at a time: weights
+    c * idf(t) in counts order, their norm, and the keyword_count heaviest
+    terms (first occurrence breaks ties)."""
     weights = {t: c * idf(t) for t, c in counts.items()}
     keywords = sorted(weights, key=weights.__getitem__, reverse=True)[:keyword_count]
     return weights, per_term_norm(weights), frozenset(keywords)
