@@ -56,11 +56,14 @@ def test_terms_lowercase_each_token_on_its_own():
     assert terms("ΑΣーΑ") == ["ας", "ー", "α"]
 
 
-def test_cjk_ratio():
+def test_is_cjk_char():
     assert cjk_ratio("山") == 1.0
     assert cjk_ratio("の") == 1.0
     assert cjk_ratio("a") == 0.0
     assert cjk_ratio("。") == 0.0  # CJK punctuation is outside the ranges
+
+
+def test_cjk_ratio():
     assert cjk_ratio("山风") == 1.0
     assert cjk_ratio("abcd") == 0.0
     assert cjk_ratio("") == 0.0
