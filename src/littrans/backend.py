@@ -2,28 +2,30 @@
 
 Deterministic mocks cover testing and offline runs; HttpBackend speaks the
 chat-completions wire protocol of common inference servers over the
-standard library's http.client. Backends must tolerate concurrent
-translate() calls; retry policy lives in the decoder, backends only
-classify failures.
+standard library's http.client. It imports the HTTP client and OpenSSL
+when it is built, so a run with any other backend never loads them.
+Backends must tolerate concurrent translate() calls; retry policy lives in
+the decoder, backends only classify failures.
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import math
 import os
 import select
-import ssl
 import threading
 import time
-import urllib.request
 import weakref
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 from urllib.parse import quote, unquote, urlsplit
 
 from .prompts import PromptSpec, PromptTemplate, render
+
+if TYPE_CHECKING:
+    import http.client
 
 _RETRYABLE = {
     "network": True,
@@ -223,6 +225,9 @@ class HttpBackend(TranslationBackend):
     """
 
     def __init__(self, config: HttpBackendConfig):
+        import ssl
+        import urllib.request
+
         self.config = config
         self._limiter = (
             _RateLimiter(config.rate_limit_rps) if config.rate_limit_rps else None
@@ -307,6 +312,8 @@ class HttpBackend(TranslationBackend):
         return _parse_response(resp, data)
 
     def _connection(self) -> http.client.HTTPConnection:
+        import http.client
+
         while True:
             try:
                 conn = self._idle.pop()
@@ -328,6 +335,8 @@ class HttpBackend(TranslationBackend):
         return conn
 
     def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
+        import http.client
+
         conn = self._connection()
         resp = None
         try:

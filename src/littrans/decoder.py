@@ -18,7 +18,6 @@ import math
 import re
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
 from typing import Callable, Sequence
@@ -271,6 +270,10 @@ def run_corpus(
     scheduling. Aborted documents (fallback=abort) are skipped and listed
     in the manifest; the rest complete.
     """
+    # imported here: the pool pulls in logging and traceback, and only
+    # translate runs a corpus
+    from concurrent.futures import CancelledError, ThreadPoolExecutor
+
     started = datetime.now(timezone.utc).isoformat()
     results: list[DocumentTranslation] = []
     aborted: list[str] = []

@@ -36,7 +36,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, groupby, pairwise, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Mapping, Sequence
 
 SMOOTHING_MODES = ("none", "exp-floor")
@@ -99,10 +99,21 @@ class _CharClasses(dict):
 
 
 _CLASSES = _CharClasses()
-# the two punctuation rules on class strings: (non-number)(punct) -> "a p "
-# and (punct)(non-number) -> " p a", at leftmost non-overlapping pairs
-_PUNCT_AFTER = re.compile("([^d])(p)")
-_PUNCT_BEFORE = re.compile("(p)([^d])")
+_PUNCT_AFTER = re.compile("([^d])p")
+_PUNCT_BEFORE = re.compile("p([^d])")
+
+
+def _pad_punctuation(classes: str) -> str:
+    """The two punctuation rules on a class string: (non-number)(punct) ->
+    "a p ", then (punct)(non-number) -> " p a", at leftmost non-overlapping
+    pairs. Each rule splits on a one-group pattern and joins every captured
+    letter back with " p ": the same matches as re.sub with a group
+    template, which Python 3.10 and 3.11 expand in Python at every match."""
+    parts = _PUNCT_AFTER.split(classes)
+    parts[1::2] = map(add, parts[1::2], repeat(" p "))
+    parts = _PUNCT_BEFORE.split("".join(parts))
+    parts[1::2] = map(add, repeat(" p "), parts[1::2])
+    return "".join(parts)
 
 
 def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list[str]:
@@ -121,8 +132,7 @@ def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list
     if mode == "character":
         return [c for c in text if not c.isspace()]
     text = text.replace("-\n", "").translate(_CONTROLS)
-    classes = _PUNCT_AFTER.sub(r"\1 \2 ", text.translate(_CLASSES))
-    classes = _PUNCT_BEFORE.sub(r" \1 \2", classes).replace("s", " s ")
+    classes = _pad_punctuation(text.translate(_CLASSES)).replace("s", " s ")
     cuts = pairwise(accumulate(map(len, classes.split(" ")), initial=0))
     return " ".join(text[a:b] for a, b in cuts).split()
 

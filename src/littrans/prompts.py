@@ -18,7 +18,6 @@ its target. Only the source and translation reach the text.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from string import Formatter
 
@@ -139,4 +138,8 @@ def render(spec: PromptSpec, template: PromptTemplate) -> str:
 
 
 def prompt_hash(spec: PromptSpec, template: PromptTemplate) -> str:
+    """SHA-256 of the rendered prompt; hashlib (OpenSSL) loads at the first
+    hash, so only a command that hashes prompts maps it."""
+    import hashlib
+
     return hashlib.sha256(render(spec, template).encode("utf-8")).hexdigest()

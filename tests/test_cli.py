@@ -7,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from littrans import cli
+from littrans import config as config_mod
 from littrans.cli import cmd_translate, main
-from littrans.config import ConfigError, load_config
+from littrans.config import ConfigError, RunConfig, load_config
 
 
 @pytest.fixture()
@@ -254,6 +256,45 @@ def test_importing_the_cli_loads_no_http_library():
     assert proc.stdout.strip() == "[]"
 
 
+# modules only an HTTP backend needs (ssl maps OpenSSL)
+HTTP_MODULES = ["http.client", "ssl", "urllib.request", "email.parser"]
+# modules only translate needs: prompt hashes (OpenSSL again) and the thread pool
+TRANSLATE_MODULES = ["hashlib", "_hashlib", "concurrent.futures"]
+
+_LOADED_AFTER_COMMANDS = """
+import json, sys
+from littrans.cli import main
+
+config, out, hypotheses, references, modules = sys.argv[1:]
+modules = json.loads(modules)
+codes = [main(["validate", "--config", config])]
+codes += [main(["prepare", s, "--config", config, "--out", out]) for s in ("1", "2", "3", "baseline")]
+codes.append(main(["evaluate", hypotheses, references, "--config", config, "--out", out]))
+before = [m for m in modules if m in sys.modules]
+codes.append(main(["translate", "--config", config, "--out", out + "/translate"]))
+after = [m for m in modules if m in sys.modules]
+print(json.dumps({"codes": codes, "before": before, "after": after}))
+"""
+
+
+def test_commands_load_only_what_they_run(toy_config_path, toy_dir, translated, tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_COMMANDS, toy_config_path, str(tmp_path / "out"),
+         str(translated / "hypotheses.jsonl"), str(toy_dir / "corpus.jsonl"),
+         json.dumps(HTTP_MODULES + TRANSLATE_MODULES)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 7
+    # validate, prepare 1|2|3|baseline and evaluate
+    assert result["before"] == []
+    # translate on the scripted backend
+    assert not set(result["after"]) & set(HTTP_MODULES)
+
+
 def test_translate_abort_exit_code(toy_dir, tmp_path):
     # make every attempt for one source fail and abort the document
     script = {"只有一句。": [{"error": "network"}]}
@@ -364,7 +405,7 @@ def test_out_of_range_value_is_config_error_naming_its_key(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", [
+NO_RUN_COULD_USE = [
     # a wait no run can sleep: time.sleep or the socket would raise
     "decoding.backoff_initial=.inf",
     "decoding.backoff_initial=.nan",
@@ -382,7 +423,10 @@ def test_out_of_range_value_is_config_error_naming_its_key(
     "backend.max_tokens=-5",
     "backend.max_prompt_chars=0",
     "backend.max_prompt_chars=-1",
-])
+]
+
+
+@pytest.mark.parametrize("override", NO_RUN_COULD_USE)
 def test_value_no_run_could_use_is_config_error_naming_its_key(
     toy_config_path, tmp_path, override, monkeypatch, capsys
 ):
@@ -399,6 +443,59 @@ def test_value_no_run_could_use_is_config_error_naming_its_key(
     err = capsys.readouterr().err
     assert override.split("=")[0] in err and "Traceback" not in err
     assert sent == [] and not out.exists()
+
+
+# --- YAML loaders: libyaml's where PyYAML has it, else the pure-Python one ---
+
+_NO_LIBYAML = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml"
+)
+YAML_LOADERS = [
+    pytest.param("SafeLoader", id="SafeLoader"),
+    pytest.param("CSafeLoader", id="CSafeLoader", marks=_NO_LIBYAML),
+]
+
+
+def _load_outcome(config_path, overrides):
+    try:
+        return load_config(config_path, overrides=overrides)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@_NO_LIBYAML
+def test_both_yaml_loaders_give_equal_configs(toy_config_path, monkeypatch):
+    assert config_mod._YAML_LOADER is yaml.CSafeLoader
+    cases = [[]] + [
+        ["backend.kind=http", "backend.base_url=http://127.0.0.1:1", override]
+        for override in NO_RUN_COULD_USE
+    ]
+    for overrides in cases:
+        outcomes = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(config_mod, "_YAML_LOADER", loader)
+            outcomes.append(_load_outcome(toy_config_path, overrides))
+        assert outcomes[0] == outcomes[1], overrides
+        assert isinstance(outcomes[0], RunConfig if not overrides else str)
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+def test_invalid_yaml_is_config_error_under_either_loader(
+    toy_config_path, tmp_path, loader, monkeypatch, capsys
+):
+    monkeypatch.setattr(config_mod, "_YAML_LOADER", getattr(yaml, loader))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("decoding:\n  history_size: [1\n", encoding="utf-8")
+    assert run(["validate", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid YAML in {bad}:" in err and "Traceback" not in err
+
+    out = tmp_path / "out"
+    args = ["translate", "--config", toy_config_path, "--out", str(out)]
+    assert run(args + ["--set", "decoding.history_size=[1"]) == 1
+    err = capsys.readouterr().err
+    assert "--set decoding.history_size: invalid YAML value:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # --- evaluate ---

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -131,6 +132,15 @@ def test_control_table_is_exactly_category_cc():
     controls = [c for c in range(sys.maxunicode + 1) if unicodedata.category(chr(c)) == "Cc"]
     assert len(controls) == 65
     assert metrics._CONTROLS == dict.fromkeys(controls, " ")
+
+
+def test_padding_equals_the_template_substitutions_on_every_class_string():
+    after, before = re.compile("([^d])(p)"), re.compile("(p)([^d])")
+    for length in range(9):
+        for letters in itertools.product("dpso", repeat=length):
+            classes = "".join(letters)
+            expected = before.sub(r" \1 \2", after.sub(r"\1 \2 ", classes))
+            assert metrics._pad_punctuation(classes) == expected, classes
 
 
 def test_bleu_tokenizes_through_the_module_global_in_key_order(monkeypatch):
