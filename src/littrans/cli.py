@@ -71,11 +71,15 @@ def _index_corpus(corpus: corpus_mod.Corpus, config: RunConfig) -> ExemplarIndex
 
 
 def _build_exemplar_index(config: RunConfig) -> ExemplarIndex | None:
+    """The external pool's index; None without a pool or at exemplar_count
+    0, though a given pool is loaded and checked either way."""
     if config.loader.external_pool is None:
         return None
     pool_corpus = corpus_mod.load_records(config.resolve(config.loader.external_pool))
     if not pool_corpus.is_parallel:
         raise ConfigError("retrieval.external_pool must be a parallel record file")
+    if config.decoding.exemplar_count == 0:
+        return None
     return _index_corpus(pool_corpus, config)
 
 
@@ -108,7 +112,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
         return EXIT_OK
     if stage == "3":
         index = _build_exemplar_index(config)
-        if index is None:
+        if index is None and config.decoding.exemplar_count > 0:
             index = _index_corpus(corpus, config)
         records = stages_mod.build_stage3_instructions(corpus, config.decoding, index)
         path = out / "stage3_instructions.jsonl"

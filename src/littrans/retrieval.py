@@ -7,30 +7,29 @@ combined as ``alpha * cosine + (1 - alpha) * jaccard``.
 ExemplarIndex is the one pool type. It grows by append, which splits the
 source into terms once, keeps its term counts and adds (position, count)
 to the postings of each term, so a term's document frequency is the length
-of its postings list. Every append changes N and so every idf: it drops the
-exemplar vectors, each weighed again the first time a query needs it, and
-the idf table, the idf of every document frequency 0..N, filled in full at
-its first use.
+of its postings list. Every append changes N and so every idf, and each
+idf is computed from N and df where it is read, so no table goes stale.
 
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
 upper bound on its score (see ExemplarIndex._bounds); an exemplar that
 shares no term scores 0 and is never returned. The bound uses each
-exemplar's exact norm: a built index, whose vectors are all weighed, reads
-it from the vector; a grown one computes it, less a slack, from N, the sum
-of squared counts and two moments of the terms' ln(1 + df), which the first
-grown-index query fills in full and each later append keeps current. It
-then scores exemplars in descending bound with _score, the one scorer that
-similarity() also uses, weighing each one only then, and stops when the
+exemplar's exact norm: a built index, which holds one vector per exemplar,
+reads it from the vector; a grown one, which holds none, computes it, less
+a slack, from N, the sum of squared counts and two moments of the terms'
+ln(1 + df), which the first grown-index query fills in full and each later
+append keeps current. It then scores exemplars in descending bound with
+_score, the one scorer that similarity() also uses, reading each vector
+from a built index or weighing it then on a grown one, and stops when the
 next bound falls below the k-th best score so far by more than a rounding
 margin. Every exemplar that could still enter the top k, ties included, has
 been scored with the same floats as a full scan, so the ids are those a
 full scan returns.
 
-build_index weighs the whole pool and fills the idf table before it
-returns, and never fills the moments, so queries never write a built index
-and concurrent queries are safe. Incremental decoding appends to a
-per-document index of its own.
+build_index weighs the whole pool before it returns and never fills the
+moments, so queries never write a built index and concurrent queries are
+safe; an append makes it a grown index and drops its vectors. Incremental
+decoding appends to a per-document index of its own.
 """
 
 from __future__ import annotations
@@ -113,9 +112,8 @@ class ExemplarIndex:
         # per exemplar, the sums of c² ln(1 + df) and c² ln(1 + df)² over its
         # terms; None until a grown index's _bounds first needs them
         self._moments: tuple[list[float], list[float]] | None = None
-        # under the current N, dropped by append: vectors by position, idf by df 0..N
-        self._vectors: dict[int, _Vector] = {}
-        self._idf_by_df: list[float] = []
+        # one vector per exemplar under the current N, held only by a built index
+        self._vectors: list[_Vector] | None = None
 
     @property
     def total_docs(self) -> int:
@@ -141,26 +139,12 @@ class ExemplarIndex:
             postings.append((position, c))
         self._count_squares.append(sum(c * c for c in counts.values()))
         self._keyword_sizes.append(min(self.keyword_count, len(counts)))
-        self._vectors = {}
-        self._idf_by_df = []
+        self._vectors = None
         return ex
-
-    def _idfs(self) -> list[float]:
-        if not self._idf_by_df:  # filled in full at first use
-            self._idf_by_df = list(map(_idf, repeat(self.total_docs), range(self.total_docs + 1)))
-        return self._idf_by_df
 
     def _weigh(self, counts: Mapping[str, int]) -> _Vector:
         dfs = map(len, map(self._postings.get, counts, repeat(())))
-        return _weighed(counts, map(self._idfs().__getitem__, dfs), self.keyword_count)
-
-    def _vector_at(self, position: int) -> _Vector:
-        """One exemplar's vector under the current N, weighed at first use."""
-        vector = self._vectors.get(position)
-        if vector is None:
-            vector = self._weigh(self.exemplars[position].term_counts)
-            self._vectors[position] = vector
-        return vector
+        return _weighed(counts, map(_idf, repeat(self.total_docs), dfs), self.keyword_count)
 
     def _add_moments(self, postings: Iterable[tuple[int, int]], old: float, new: float) -> None:
         """Move the moments of each exemplar on postings from a term's
@@ -179,8 +163,9 @@ class ExemplarIndex:
         the others score 0.
 
         Both sides weigh a shared term with the same idf, so the dot product
-        over the shared terms is the exact one. A built index has every
-        exemplar's exact norm in its vector. A grown one computes it from
+        over the shared terms is the exact one, each idf computed from N and
+        df here. A built index reads each exemplar's exact norm from the
+        vector it holds. A grown one, which holds no vectors, computes it from
         the moments: as idf = A - ln(1 + df) with A = ln(1 + N) + 1, the
         squared norm is A² S0 - 2A S1 + S2, where S0 is the sum of squared
         counts and S1, S2 the moments. The first grown-index call fills them
@@ -193,9 +178,8 @@ class ExemplarIndex:
         """
         q_weights, q_norm, q_keywords = query
         n = len(self.exemplars)
-        idfs = self._idfs()
-        built = len(self._vectors) == n  # every exact norm is known
-        if not built and self._moments is None:  # filled in full at first use
+        vectors = self._vectors
+        if vectors is None and self._moments is None:  # filled in full at first use
             self._moments = ([0.0] * n, [0.0] * n)
             for postings in self._postings.values():
                 self._add_moments(postings, 0.0, math.log(1 + len(postings)))
@@ -205,7 +189,7 @@ class ExemplarIndex:
             postings = self._postings.get(t)
             if postings is None:
                 continue
-            idf = idfs[len(postings)]
+            idf = _idf(n, len(postings))
             if t in q_keywords:
                 for position, _c in postings:
                     found[position] += 1
@@ -223,8 +207,8 @@ class ExemplarIndex:
                 j = found[position]
                 if j > kc:
                     j = kc
-                if built:
-                    norm = self._vectors[position][1]
+                if vectors is not None:
+                    norm = vectors[position][1]
                 else:
                     s0 = count_squares[position]
                     a0 = a * a * s0
@@ -248,14 +232,13 @@ def build_index(
 
     Term weights are tf-idf with idf = ln((1 + N) / (1 + df)) + 1; keywords
     are the keyword_count terms of highest weight, extracted against the
-    finished frequency table. Its vectors and idf table are filled before it returns.
+    finished frequency table. It holds one vector per exemplar, weighed
+    before it returns, so a query never writes it and threads can share it.
     """
     index = ExemplarIndex(keyword_count)
     for source, target, doc_id, seg_index in pool:
         index.append(source, target, doc_id, seg_index)
-    index._idfs()
-    for position in range(index.total_docs):
-        index._vector_at(position)  # weighed now, a query never writes it: threads can share it
+    index._vectors = [index._weigh(ex.term_counts) for ex in index.exemplars]
     return index
 
 
@@ -319,6 +302,7 @@ def top_k(
     _check_alpha(alpha)
     q = index._weigh(Counter(terms(query)))
     bounds = index._bounds(q, alpha)
+    vectors = index._vectors
     kth: list[float] = []  # min-heap of the k best exact scores so far
     scored = []
     for position in sorted(bounds, key=bounds.__getitem__, reverse=True):
@@ -327,7 +311,8 @@ def top_k(
         ex = index.exemplars[position]
         if exclude is not None and exclude(ex.doc_id, ex.seg_index):
             continue
-        score = _score(q, index._vector_at(position), alpha)[0]
+        vector = index._weigh(ex.term_counts) if vectors is None else vectors[position]
+        score = _score(q, vector, alpha)[0]
         if score > 0.0:
             scored.append((score, ex))
             if len(kth) < k:

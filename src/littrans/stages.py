@@ -225,16 +225,16 @@ def build_sentence_instructions(
 def build_stage3_instructions(
     corpus: Corpus,
     decoding_config: DecodingConfig,
-    index: ExemplarIndex,
+    index: ExemplarIndex | None,
 ) -> list[InstructionRecord]:
     """Context- and exemplar-augmented records, one per pair.
 
     The context block holds the previous history-size pairs (source plus
     reference target, teacher forcing); exemplars come from the index with
-    the current pair and everything after it in the same document excluded.
-    The prompt is assembled by decoder.build_prompt with the reference
-    targets as the finished pairs, so training and inference see identical
-    text.
+    the current pair and everything after it in the same document excluded
+    (index may be None when exemplar_count is 0). The prompt is assembled
+    by decoder.build_prompt with the reference targets as the finished
+    pairs, so training and inference see identical text.
     """
     cfg = decoding_config
     records = []

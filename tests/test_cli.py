@@ -146,6 +146,98 @@ def test_translate_idempotent_and_parallelism_invariant(toy_config_path, tmp_pat
     assert m1 == m3
 
 
+# --- retrieval.external_pool: one built index, shared by every document ---
+
+# six pairs that share characters with the toy corpus but none of its texts
+POOL = [
+    ("pool-a", 0, "山风吹过草原。", "POOL: A mountain wind crossed the grassland."),
+    ("pool-a", 1, "少年放下了手中的剑。", "POOL: The boy laid down the sword in his hand."),
+    ("pool-a", 2, "夜色笼罩了河岸。", "POOL: Night covered the river bank."),
+    ("pool-b", 0, "师父站在高塔上。", "POOL: The master stood on the high tower."),
+    ("pool-b", 1, "远处的灯光闪着。", "POOL: Lights flickered in the distance."),
+    ("pool-b", 2, "前路在月光下依然漫长。", "POOL: Under the moon the road was still long."),
+]
+
+
+@pytest.fixture()
+def pool_path(tmp_path):
+    path = tmp_path / "pool.jsonl"
+    path.write_text("".join(
+        json.dumps({"doc_id": d, "seg_index": s, "source": src, "target": tgt}, ensure_ascii=False)
+        + "\n"
+        for d, s, src, tgt in POOL
+    ), encoding="utf-8")
+    return path
+
+
+def test_external_pool_is_shared_at_its_fixed_size(toy_config_path, tmp_path, pool_path, monkeypatch):
+    # every document's queries read the one built pool, never a growing
+    # prefix, and threads sharing it see what a single thread sees
+    from littrans import decoder
+
+    seen = []
+    query = decoder.top_k
+
+    def recording(source, index, *args, **kwargs):
+        hits = query(source, index, *args, **kwargs)
+        seen.append((source, index.total_docs, [e.exemplar_id for e in hits]))
+        return hits
+
+    monkeypatch.setattr(decoder, "top_k", recording)
+    calls = {}
+    for parallelism in (1, 4):
+        seen.clear()
+        assert run(["translate", "--config", toy_config_path, "--out", str(tmp_path / f"r{parallelism}"),
+                    "--set", f"retrieval.external_pool={pool_path}",
+                    "--set", f"decoding.parallelism={parallelism}"]) == 0
+        calls[parallelism] = sorted(seen)
+    assert len(calls[1]) == 10
+    assert {size for _source, size, _ids in calls[1] + calls[4]} == {len(POOL)}
+    assert all(ids and all(i.startswith("pool-") for i in ids) for _s, _n, ids in calls[1])
+    assert calls[1] == calls[4]
+    assert read_lines(tmp_path / "r1" / "hypotheses.jsonl") == read_lines(tmp_path / "r4" / "hypotheses.jsonl")
+
+
+def test_external_pool_fills_stage3_exemplar_blocks(toy_config_path, tmp_path, pool_path):
+    assert run(["prepare", "3", "--config", toy_config_path, "--out", str(tmp_path),
+                "--set", f"retrieval.external_pool={pool_path}"]) == 0
+    records = [json.loads(l) for l in read_lines(tmp_path / "stage3_instructions.jsonl").splitlines()]
+    assert len(records) == 10
+    pool_lines = {line for _d, _s, src, tgt in POOL for line in (src, f"=> {tgt}")}
+    for record in records:
+        block = record["instruction"].split("Similarly phrased translations, for style:\n")[1]
+        block = block.split("\n\nSource sentence:")[0]
+        assert set(block.splitlines()) <= pool_lines, block
+
+
+@pytest.mark.parametrize("command", [["translate"], ["prepare", "3"]])
+@pytest.mark.parametrize("exemplar_count", [0, 1])
+def test_monolingual_external_pool_is_config_error(
+    toy_config_path, tmp_path, command, exemplar_count, capsys
+):
+    pool = tmp_path / "mono.jsonl"
+    pool.write_text('{"doc_id": "a", "source": "只有源文"}\n', encoding="utf-8")
+    code = run([*command, "--config", toy_config_path, "--out", str(tmp_path / "out"),
+                "--set", f"retrieval.external_pool={pool}",
+                "--set", f"decoding.exemplar_count={exemplar_count}"])
+    assert code == 1
+    assert "retrieval.external_pool must be a parallel record file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["prepare", "3"],
+    ["prepare", "3", "--set", "retrieval.external_pool=corpus.jsonl"],
+    ["translate", "--set", "retrieval.external_pool=corpus.jsonl"],
+])
+def test_no_exemplar_index_is_built_without_exemplars(toy_config_path, tmp_path, monkeypatch, args):
+    def no_index(*_args, **_kwargs):
+        raise AssertionError("an exemplar index was built at exemplar_count 0")
+
+    monkeypatch.setattr(cli, "build_index", no_index)
+    assert run([*args, "--config", toy_config_path, "--out", str(tmp_path),
+                "--set", "decoding.exemplar_count=0"]) == 0
+
+
 def test_translate_dry_run_counts_without_calls(toy_config_path, tmp_path, capsys, monkeypatch):
     def no_backend(config):
         raise AssertionError("a dry run built the configured backend")
