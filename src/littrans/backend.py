@@ -14,7 +14,6 @@ import base64
 import json
 import math
 import os
-import select
 import threading
 import time
 import weakref
@@ -313,15 +312,19 @@ class HttpBackend(TranslationBackend):
 
     def _connection(self) -> http.client.HTTPConnection:
         import http.client
+        import selectors
 
         while True:
             try:
                 conn = self._idle.pop()
             except IndexError:
                 break
-            # an idle connection has nothing to read unless its peer closed it
-            if not select.select([conn.sock], [], [], 0)[0]:
-                return conn
+            # an idle connection has nothing to read unless its peer closed
+            # it; a selector, unlike select.select, takes any descriptor
+            with selectors.DefaultSelector() as probe:
+                probe.register(conn.sock, selectors.EVENT_READ)
+                if not probe.select(0):
+                    return conn
             conn.close()
         if self._tls is None:
             conn = http.client.HTTPConnection(self._host, self._port, timeout=self.config.timeout)

@@ -150,7 +150,7 @@ def cmd_translate(config: RunConfig, dry_run: bool = False) -> int:
         backend.close()
     if dry_run:
         prompts = sum(len(r.traces) for r in results)
-        print(f"dry run: {prompts} prompts rendered for {len(results)} documents; no backend calls")
+        print(f"dry run: {prompts} prompts built for {len(results)} documents; no backend calls")
         return EXIT_OK
 
     out = _out_dir(config)
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dry-run",
         action="store_true",
-        help="render and count prompts without calling the backend",
+        help="build and count prompts without calling the backend",
     )
 
     p = sub.add_parser("evaluate", parents=[common], help="score hypotheses with s/d-BLEU")

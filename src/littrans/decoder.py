@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .backend import MAX_WAIT, BackendError, TranslationBackend
 from .corpus import Corpus, Document
-from .prompts import ContextEntry, PromptSpec, PromptTemplate, prompt_hash
+from .prompts import ContextEntry, PromptSpec, PromptTemplate
 from .retrieval import (
     DEFAULT_ALPHA,
     DEFAULT_KEYWORD_COUNT,
@@ -86,8 +86,15 @@ class DecodingConfig:
 
 @dataclass(frozen=True)
 class SentenceTrace:
+    """How one sentence was decoded.
+
+    It carries no prompt hash: hashing renders the prompt once more, and
+    run_corpus holds every trace until the run ends. A caller that needs
+    a prompt's hash computes prompts.prompt_hash from the PromptSpec the
+    backend received.
+    """
+
     seg_index: int
-    prompt_sha256: str
     attempts: tuple[str, ...]  # error kind per failed attempt, "ok" for success
     failed: bool
     exemplar_ids: tuple[str, ...]
@@ -226,7 +233,6 @@ def translate_document(
         traces.append(
             SentenceTrace(
                 seg_index=pair.seg_index,
-                prompt_sha256=prompt_hash(spec, config.template),
                 attempts=tuple(attempts),
                 failed=failed,
                 exemplar_ids=tuple(e.exemplar_id for e in hits),

@@ -1,15 +1,16 @@
 """Prompt templates and rendering.
 
 One assembler, decoder.build_prompt, builds every PromptSpec, and one
-renderer turns it into text, for both the decoder (inference prompts) and
+renderer turns it into text, for both the backends (inference prompts) and
 the stage-3 instruction builder (training prompts), so train and test
 prompts can never drift apart.
 
-Template placeholders: the main template takes {system}, {context},
-{exemplars}, {source}; entry sub-templates take {src} and {tgt}; section
-sub-templates take {entries}. Empty context/exemplar blocks render their
-whole section as the empty string, so with no history and no exemplars
-the rendered prompt is exactly the plain sentence-level template.
+Template placeholders are bare names, with no conversion or format spec:
+the main template takes {system}, {context}, {exemplars}, {source}; entry
+sub-templates take {src} and {tgt}; section sub-templates take {entries}.
+Empty context/exemplar blocks render their whole section as the empty
+string, so with no history and no exemplars the rendered prompt is
+exactly the plain sentence-level template.
 
 ContextEntry fills both blocks: a history entry holds an earlier sentence of
 the document and its translation, an exemplar entry a retrieved source and
@@ -23,8 +24,8 @@ from string import Formatter
 
 
 class TemplateError(Exception):
-    """Raised when a template is missing a required placeholder or names
-    an unknown one."""
+    """Raised when a template is missing a required placeholder, names an
+    unknown one, or gives one a conversion or format spec."""
 
 
 DEFAULT_SYSTEM = (
@@ -59,12 +60,25 @@ _REQUIRED = {
 
 def check_template(name: str, text: str, allowed: set[str], required: set[str]) -> None:
     """Raise TemplateError unless text is a well-formed format string whose
-    named placeholders include every required one and no others than
-    allowed; name is the template's name in the message."""
+    placeholders are bare names that include every required one and no
+    others than allowed; name is the template's name in the message.
+
+    A conversion ({source!r}) or format spec ({source:d}) is rejected: it
+    would change every prompt's text, or fail only when one is rendered.
+    """
     try:
-        found = {f for _, f, _, _ in Formatter().parse(text) if f is not None}
+        parsed = [p for p in Formatter().parse(text) if p[1] is not None]
     except ValueError as exc:
         raise TemplateError(f"malformed template: {exc}") from exc
+    for _, field_name, spec, conversion in parsed:
+        if spec or conversion:
+            written = field_name + (f"!{conversion}" if conversion else "")
+            written += f":{spec}" if spec else ""
+            raise TemplateError(
+                f"{name} template placeholder {{{written}}} must be a bare name, "
+                "with no conversion or format spec"
+            )
+    found = {field_name for _, field_name, _, _ in parsed}
     if "" in found:
         raise TemplateError("positional placeholders like {} are not allowed")
     missing = required - found
@@ -138,8 +152,13 @@ def render(spec: PromptSpec, template: PromptTemplate) -> str:
 
 
 def prompt_hash(spec: PromptSpec, template: PromptTemplate) -> str:
-    """SHA-256 of the rendered prompt; hashlib (OpenSSL) loads at the first
-    hash, so only a command that hashes prompts maps it."""
+    """SHA-256 of the rendered prompt, the one definition of a prompt's hash.
+
+    The decoder does not call it: a translate run renders only what the
+    backend renders. The golden-trace test hashes the prompts its backend
+    receives; a trace writer would hash only the traces it writes.
+    hashlib (OpenSSL) loads at the first hash, so only a caller maps it.
+    """
     import hashlib
 
     return hashlib.sha256(render(spec, template).encode("utf-8")).hexdigest()

@@ -1,6 +1,7 @@
 import base64
 import http.server
 import json
+import os
 import socket
 import sys
 import threading
@@ -430,6 +431,28 @@ def test_http_connection_the_server_closed_is_not_reused(stub):
     )
     assert result.traces[0].attempts == ("ok",)
     assert stub.server.accepted == 2
+
+
+def test_http_reuses_a_connection_whose_descriptor_is_above_1023(stub):
+    # select.select refuses any descriptor of 1024 or above
+    resource = pytest.importorskip("resource")
+    soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    if soft != resource.RLIM_INFINITY and soft < 1200:
+        pytest.skip("needs a soft descriptor limit of at least 1200")
+    held = []
+    backend = http_backend(stub)
+    try:
+        for _ in range(1100):
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        for text in ("a", "b"):
+            stub.enqueue(200, completion(text))
+            assert backend.translate(spec()) == text
+        assert stub.server.accepted == 1
+    finally:
+        backend.close()
+        for fd in held:
+            os.close(fd)
+    assert stub.wait_closed(1)
 
 
 def test_http_concurrent_callers_hold_one_connection_each(stub):

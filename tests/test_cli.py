@@ -350,8 +350,11 @@ def test_importing_the_cli_loads_no_http_library():
 
 # modules only an HTTP backend needs (ssl maps OpenSSL)
 HTTP_MODULES = ["http.client", "ssl", "urllib.request", "email.parser"]
-# modules only translate needs: prompt hashes (OpenSSL again) and the thread pool
-TRANSLATE_MODULES = ["hashlib", "_hashlib", "concurrent.futures"]
+# modules only translate needs: the thread pool
+TRANSLATE_MODULES = ["concurrent.futures"]
+# OpenSSL's hashes: only the HTTP client (urllib.request) and prompt_hash
+# load them, and translate on any other backend hashes no prompt
+HASH_MODULES = ["hashlib", "_hashlib"]
 
 _LOADED_AFTER_COMMANDS = """
 import json, sys
@@ -375,7 +378,7 @@ def test_commands_load_only_what_they_run(toy_config_path, toy_dir, translated, 
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER_COMMANDS, toy_config_path, str(tmp_path / "out"),
          str(translated / "hypotheses.jsonl"), str(toy_dir / "corpus.jsonl"),
-         json.dumps(HTTP_MODULES + TRANSLATE_MODULES)],
+         json.dumps(HTTP_MODULES + TRANSLATE_MODULES + HASH_MODULES)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -384,7 +387,7 @@ def test_commands_load_only_what_they_run(toy_config_path, toy_dir, translated, 
     # validate, prepare 1|2|3|baseline and evaluate
     assert result["before"] == []
     # translate on the scripted backend
-    assert not set(result["after"]) & set(HTTP_MODULES)
+    assert not set(result["after"]) & set(HTTP_MODULES + HASH_MODULES)
 
 
 def test_translate_abort_exit_code(toy_dir, tmp_path):
@@ -797,6 +800,19 @@ def test_bad_instruction_template_is_config_error(toy_config_path, tmp_path, cap
     ])
     assert code == 1
     assert "source" in capsys.readouterr().err
+
+
+def test_template_with_a_format_spec_fails_at_config_load(toy_config_path, tmp_path, capsys):
+    # prepare 1 renders no prompt, so only the load-time check can reject it
+    main = tmp_path / "main.txt"
+    main.write_text("{system}{context}{exemplars}{source:d}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = run(["prepare", "1", "--config", toy_config_path, "--out", str(out),
+                "--set", f"decoding.templates.main={main}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "main template placeholder {source:d}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_evaluate_missing_file_is_config_error(toy_config_path, tmp_path, capsys):

@@ -130,6 +130,24 @@ def test_scripted_outputs_in_order():
     assert result.hypotheses == ("A", "B", "C")
 
 
+def test_decoding_renders_no_prompt_the_backend_does_not(monkeypatch):
+    # a backend that reads the PromptSpec alone needs no rendered text
+    renders = []
+
+    def counting_render(spec, template):
+        renders.append(spec)
+        return render(spec, template)
+
+    monkeypatch.setattr("littrans.prompts.render", counting_render)
+    doc = make_document("d", ["wind one", "wind two", "wind one two"])
+    script = {"wind one": "A", "wind two": "B", "wind one two": "C"}
+    result = translate_document(
+        doc, ScriptedBackend(script), config=fast(exemplar_count=2), sleep=no_sleep
+    )
+    assert [len(t.exemplar_ids) for t in result.traces] == [0, 1, 2]
+    assert renders == []
+
+
 def test_retry_then_success():
     # oracle: scripted failure sequence; retry budget 2 -> second attempt wins
     script = {

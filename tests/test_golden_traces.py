@@ -20,6 +20,7 @@ from pathlib import Path
 
 from littrans.backend import BackendCapabilities, TranslationBackend
 from littrans.decoder import DecodingConfig, translate_document
+from littrans.prompts import prompt_hash
 from littrans.retrieval import build_index
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -31,11 +32,15 @@ VOCAB = ["stone", "river", "Moon", "wind", "山", "水", "。"]
 
 class ReversingBackend(TranslationBackend):
     """Answers with the source's words in reverse order, so a hypothesis
-    differs from its source."""
+    differs from its source, and records every prompt it receives."""
 
     capabilities = BackendCapabilities(name="reversing")
 
+    def __init__(self):
+        self.prompts = []
+
     def translate(self, prompt):
+        self.prompts.append(prompt)
         return " ".join(reversed(prompt.current_source.split()))
 
 
@@ -67,15 +72,18 @@ def trace_records():
         )
         for pool, index in (("document", None), ("external", external_index(keyword_count))):
             for doc in corpus_documents():
-                result = translate_document(doc, ReversingBackend(), index, config)
-                for trace in result.traces:
+                backend = ReversingBackend()
+                result = translate_document(doc, backend, index, config)
+                # the backend answers at the first attempt: one prompt per trace
+                assert len(backend.prompts) == len(result.traces)
+                for trace, spec in zip(result.traces, backend.prompts):
                     records.append(
                         {
                             "pool": pool,
                             "keyword_count": keyword_count,
                             "doc_id": doc.doc_id,
                             "seg_index": trace.seg_index,
-                            "prompt_sha256": trace.prompt_sha256,
+                            "prompt_sha256": prompt_hash(spec, config.template),
                             "exemplar_ids": list(trace.exemplar_ids),
                         }
                     )

@@ -74,6 +74,17 @@ def test_template_rejects_unknown_placeholder():
         PromptTemplate(context_entry="{tgt}{oops}")
 
 
+# a conversion quotes or reformats every prompt; a format spec may fail only
+# when a prompt is rendered
+NOT_BARE = ["{source!r}", "{source:>12}", "{source:d}", "{source:{system}}"]
+
+
+@pytest.mark.parametrize("placeholder", NOT_BARE)
+def test_template_placeholders_are_bare_names(placeholder):
+    with pytest.raises(TemplateError, match=r"^main template .* must be a bare name"):
+        PromptTemplate(main="{system}{context}{exemplars}" + placeholder)
+
+
 def test_entry_templates_require_tgt():
     with pytest.raises(TemplateError, match="tgt"):
         PromptTemplate(context_entry="{src} only")

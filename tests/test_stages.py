@@ -287,6 +287,14 @@ def test_instruction_template_validation():
         InstructionTemplate("Translate {source} into {target}")
 
 
+@pytest.mark.parametrize(
+    "placeholder", ["{source!r}", "{source:>12}", "{source:d}", "{source:{system}}"]
+)
+def test_instruction_placeholders_are_bare_names(placeholder):
+    with pytest.raises(TemplateError, match=r"^instruction template .* must be a bare name"):
+        InstructionTemplate(f"Translate: {placeholder}")
+
+
 def stage3_config(n=2, k=1):
     return DecodingConfig(history_size=n, exemplar_count=k, backoff_initial=0)
 
