@@ -18,6 +18,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field, replace
+from string import Formatter
 from typing import TYPE_CHECKING
 from urllib.parse import quote, unquote, urlsplit
 
@@ -214,6 +215,9 @@ class HttpBackend(TranslationBackend):
     the user message is the prompt rendered without its system block;
     otherwise the single user message is the full rendered prompt. The
     request body carries exactly model, messages, temperature, max_tokens.
+    Each attempt renders once: beside a system message, the full prompt's
+    length, which max_prompt_chars caps, is the user message's plus the
+    system block's at each {system} field of the main template.
 
     Transport: idle keep-alive connections wait on a stack; each call pops
     one, or opens one, and pushes it back after reading a complete response
@@ -228,6 +232,9 @@ class HttpBackend(TranslationBackend):
         import urllib.request
 
         self.config = config
+        self._system_fields = sum(
+            name == "system" for _, name, _, _ in Formatter().parse(config.template.main)
+        )
         self._limiter = (
             _RateLimiter(config.rate_limit_rps) if config.rate_limit_rps else None
         )
@@ -270,11 +277,7 @@ class HttpBackend(TranslationBackend):
         """Close every idle connection; a later call opens a new one."""
         _close_idle(self._idle)
 
-    def build_messages(
-        self, prompt: PromptSpec, rendered: str | None = None
-    ) -> list[dict[str, str]]:
-        """`rendered`, when given, is the full prompt text already rendered
-        with the system block, reused for a single user message."""
+    def build_messages(self, prompt: PromptSpec) -> list[dict[str, str]]:
         if self.config.supports_system_role and prompt.system_text:
             return [
                 {"role": "system", "content": prompt.system_text},
@@ -283,31 +286,30 @@ class HttpBackend(TranslationBackend):
                     "content": render(replace(prompt, system_text=""), self.config.template),
                 },
             ]
-        if rendered is None:
-            rendered = render(prompt, self.config.template)
-        return [{"role": "user", "content": rendered}]
+        return [{"role": "user", "content": render(prompt, self.config.template)}]
 
-    def build_body(self, prompt: PromptSpec, rendered: str | None = None) -> dict:
+    def build_body(self, prompt: PromptSpec) -> dict:
         return {
             "model": self.config.model,
-            "messages": self.build_messages(prompt, rendered),
+            "messages": self.build_messages(prompt),
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
 
     def translate(self, prompt: PromptSpec) -> str:
-        rendered = None
+        body = self.build_body(prompt)
         limit = self.config.max_prompt_chars
         if limit is not None:
-            rendered = render(prompt, self.config.template)
-            if len(rendered) > limit:
-                raise BackendError(
-                    "overlong_prompt", f"prompt is {len(rendered)} chars, limit {limit}"
-                )
+            *system, user = body["messages"]
+            chars = len(user["content"])
+            if system:
+                block = self.config.template.system_section.format(system=prompt.system_text)
+                chars += self._system_fields * len(block)
+            if chars > limit:
+                raise BackendError("overlong_prompt", f"prompt is {chars} chars, limit {limit}")
         if self._limiter is not None:
             self._limiter.wait()
-        body = json.dumps(self.build_body(prompt, rendered), allow_nan=False).encode("utf-8")
-        resp, data = self._post(body)
+        resp, data = self._post(json.dumps(body, allow_nan=False).encode("utf-8"))
         return _parse_response(resp, data)
 
     def _connection(self) -> http.client.HTTPConnection:

@@ -33,18 +33,12 @@ def _load_corpus(config: RunConfig, use_test: bool = False) -> corpus_mod.Corpus
     paths = config.corpus
     records = paths.test_records if use_test and paths.test_records else paths.records
     if records:
-        return corpus_mod.load_records(
-            config.resolve(records),
-            language_pair=paths.language_pair,
-            source_name=paths.name,
-        )
+        return corpus_mod.load_records(config.resolve(records))
     if paths.source_file:
         return corpus_mod.load_line_aligned(
             config.resolve(paths.source_file),
             config.resolve(paths.target_file) if paths.target_file else None,
             boundary_marker=paths.boundary_marker,
-            language_pair=paths.language_pair,
-            source_name=paths.name,
         )
     raise ConfigError("config names no corpus (corpus.records or corpus.source_file)")
 

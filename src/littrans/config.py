@@ -46,6 +46,7 @@ class CorpusPaths:
     source_file: str | None = None
     target_file: str | None = None
     boundary_marker: str = ""
+    # labels a config may carry; no command reads them
     language_pair: str = ""
     name: str = ""
 

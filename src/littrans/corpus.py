@@ -64,8 +64,6 @@ class Document:
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
-    language_pair: str = ""
-    source_name: str = ""
 
     @property
     def is_parallel(self) -> bool:
@@ -195,9 +193,7 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
     return Document(doc_id=doc_id, chapters=tuple(chapters))
 
 
-def _finish_corpus(
-    docs: dict[str, list[tuple[int, dict]]], language_pair: str, source_name: str
-) -> Corpus:
+def _finish_corpus(docs: dict[str, list[tuple[int, dict]]]) -> Corpus:
     has_target = {
         line: rec.get("target") is not None for recs in docs.values() for line, rec in recs
     }
@@ -212,25 +208,22 @@ def _finish_corpus(
     documents = tuple(
         _build_document(doc_id, docs[doc_id]) for doc_id in sorted(docs)
     )
-    return Corpus(documents=documents, language_pair=language_pair, source_name=source_name)
+    return Corpus(documents=documents)
 
 
-def load_records(
-    path: str | Path, language_pair: str = "", source_name: str = ""
-) -> Corpus:
+def load_records(path: str | Path) -> Corpus:
     """Load a corpus from a JSONL record file.
 
     Documents are ordered by doc_id, so any on-disk permutation of records
     carrying seg_index loads to the same Corpus.
     """
-    path = Path(path)
     docs: dict[str, list[tuple[int, dict]]] = {}
     for line_no, rec in read_jsonl(path, ("doc_id", "source")):
         for key in ("chapter_id", "target"):
             if rec.get(key) is not None and not isinstance(rec[key], str):
                 raise CorpusFormatError(f"line {line_no}: non-string {key!r}")
         docs.setdefault(rec["doc_id"], []).append((line_no, rec))
-    return _finish_corpus(docs, language_pair, source_name or path.name)
+    return _finish_corpus(docs)
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -242,8 +235,6 @@ def load_line_aligned(
     src_path: str | Path,
     tgt_path: str | Path | None,
     boundary_marker: str = "",
-    language_pair: str = "",
-    source_name: str = "",
 ) -> Corpus:
     """Load parallel plain-text files, one sentence per line.
 
@@ -285,7 +276,7 @@ def load_line_aligned(
         if tgt_lines is not None:
             rec["target"] = tgt_lines[i]
         docs.setdefault(f"doc{doc_no:04d}", []).append((i + 1, rec))
-    return _finish_corpus(docs, language_pair, source_name or Path(src_path).name)
+    return _finish_corpus(docs)
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:

@@ -176,16 +176,6 @@ def corpus_bleu(
                 map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))
             )
 
-    if hyp_len == 0:
-        return BleuReport(
-            score=0.0,
-            precisions=tuple(0.0 for _ in range(config.max_order)),
-            brevity_penalty=0.0,
-            hyp_length=0,
-            ref_length=ref_len,
-            segmentation=segmentation,
-        )
-
     precisions = [0.0] * config.max_order
     floor_scale = 1.0
     for n in range(config.max_order):
@@ -197,7 +187,12 @@ def corpus_bleu(
         else:
             precisions[n] = correct[n] / total[n]
 
-    brevity_penalty = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    if hyp_len == 0:  # no n-gram counted: every precision and the score are 0.0 too
+        brevity_penalty = 0.0
+    elif hyp_len >= ref_len:
+        brevity_penalty = 1.0
+    else:
+        brevity_penalty = math.exp(1.0 - ref_len / hyp_len)
 
     # orders the hypothesis corpus is too short to produce are excluded
     # from the geometric mean instead of zeroing the whole score

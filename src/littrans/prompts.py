@@ -124,30 +124,25 @@ class PromptSpec:
     current_source: str
 
 
+def _section(block: tuple[ContextEntry, ...], section: str, entry: str) -> str:
+    """A block's section: its entries rendered into the section template,
+    or the empty string for an empty block."""
+    if not block:
+        return ""
+    entries = "".join(entry.format(src=e.source, tgt=e.translation) for e in block)
+    return section.format(entries=entries)
+
+
 def render(spec: PromptSpec, template: PromptTemplate) -> str:
     """Deterministically render a PromptSpec to the prompt text."""
-    if spec.system_text:
-        system = template.system_section.format(system=spec.system_text)
-    else:
-        system = ""
-    if spec.context_block:
-        entries = "".join(
-            template.context_entry.format(src=e.source, tgt=e.translation)
-            for e in spec.context_block
-        )
-        context = template.context_section.format(entries=entries)
-    else:
-        context = ""
-    if spec.exemplar_block:
-        entries = "".join(
-            template.exemplar_entry.format(src=e.source, tgt=e.translation)
-            for e in spec.exemplar_block
-        )
-        exemplars = template.exemplar_section.format(entries=entries)
-    else:
-        exemplars = ""
+    system = template.system_section.format(system=spec.system_text) if spec.system_text else ""
     return template.main.format(
-        system=system, context=context, exemplars=exemplars, source=spec.current_source
+        system=system,
+        context=_section(spec.context_block, template.context_section, template.context_entry),
+        exemplars=_section(
+            spec.exemplar_block, template.exemplar_section, template.exemplar_entry
+        ),
+        source=spec.current_source,
     )
 
 

@@ -77,18 +77,22 @@ def _require_parallel(corpus: Corpus, what: str) -> None:
         raise ValueError(f"{what} requires a fully parallel corpus")
 
 
-def _pack(items: Iterable[T], too_big: Callable[[list[T]], bool]) -> Iterator[list[T]]:
-    """Greedy packing in order: each item joins the open group unless the
-    group with it would be too big. An item too big on its own forms its
-    own group. No items give no groups."""
+def _pack(items: Iterable[tuple[T, int, int]], budget: int) -> Iterator[tuple[list[T], int]]:
+    """Greedy packing in order of priced items, (item, cost alone, cost
+    added after the item before it): each item joins the open group unless
+    that would take the group's cost past the budget. Yields (group, cost);
+    an item too big on its own forms its own group. No items give no
+    groups."""
     group: list[T] = []
-    for item in items:
-        if group and too_big(group + [item]):
-            yield group
+    cost = 0
+    for item, alone, added in items:
+        if group and cost + added > budget:
+            yield group, cost
             group = []
+        cost = cost + added if group else alone
         group.append(item)
     if group:
-        yield group
+        yield group, cost
 
 
 def _reference_pairs(
@@ -119,6 +123,13 @@ def build_stage1_paragraphs(
 
     joiner=None picks per chapter: no joiner for predominantly CJK text,
     a single space otherwise.
+
+    Each sentence is tokenized alone and after the last character of the
+    one before it, and a unit's token_count sums these prices. That is
+    tokenizer(text) exactly when tokens merge only across a seam, so that
+    tokenizer(a + b) - tokenizer(a) depends on a non-empty a only through
+    its last character: count_tokens has this property, as does splitting
+    on whitespace, and the loaders' texts are never empty.
     """
     if side == "target":
         _require_parallel(corpus, "stage 1 on the target side")
@@ -130,14 +141,17 @@ def build_stage1_paragraphs(
                 sep = "" if cjk_ratio("".join(texts)) > 0.5 else " "
             else:
                 sep = joiner
-            for group in _pack(texts, lambda g: tokenizer(sep.join(g)) > budget):
-                text = sep.join(group)
-                count = tokenizer(text)
+            tails = [""] + [text[-1:] for text in texts]
+            priced = (
+                (text, tokenizer(text), tokenizer(tail + sep + text) - tokenizer(tail))
+                for tail, text in zip(tails, texts)
+            )
+            for group, count in _pack(priced, budget):
                 units.append(
                     ParagraphUnit(
                         doc_id=doc.doc_id,
                         chapter_id=chapter.chapter_id,
-                        text=text,
+                        text=sep.join(group),
                         token_count=count,
                         over_budget=count > budget,
                     )
@@ -189,19 +203,16 @@ def build_stage2_documents(
     documents, greedily, under a combined source+target token budget.
     Never packs across source documents."""
     _require_parallel(corpus, "stage 2")
-
-    def cost(group: list[tuple[SentencePair, int]]) -> int:
-        return sum(c for _, c in group)
-
     docs: list[InterlinearDocument] = []
     for doc in corpus.documents:
-        priced = ((p, tokenizer(p.source) + tokenizer(p.target)) for p in doc.pairs())
-        for part, group in enumerate(_pack(priced, lambda g: cost(g) > budget)):
+        # a pair costs the same alone and after another pair
+        costs = [tokenizer(p.source) + tokenizer(p.target) for p in doc.pairs()]
+        for part, (group, cost) in enumerate(_pack(zip(doc.pairs(), costs, costs), budget)):
             docs.append(
                 InterlinearDocument(
                     doc_id=f"{doc.doc_id}#p{part}",
-                    pairs=tuple((p.source, p.target) for p, _ in group),
-                    over_budget=cost(group) > budget,
+                    pairs=tuple((p.source, p.target) for p in group),
+                    over_budget=cost > budget,
                 )
             )
     return docs

@@ -29,4 +29,4 @@ def bleu_fixture(data_dir) -> dict:
 def toy_corpus(toy_dir):
     from littrans.corpus import load_records
 
-    return load_records(toy_dir / "corpus.jsonl", language_pair="zh-en")
+    return load_records(toy_dir / "corpus.jsonl")

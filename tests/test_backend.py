@@ -17,7 +17,7 @@ from littrans.backend import (
     ScriptedBackend,
     TableBackend,
 )
-from littrans.prompts import ContextEntry, PromptSpec
+from littrans.prompts import ContextEntry, PromptSpec, PromptTemplate, render
 
 
 def spec(source="你好", system="You are a careful translator.", context=(), exemplars=()):
@@ -261,6 +261,53 @@ def test_http_client_side_overlong_check(stub):
         backend.translate(spec(source="a very long sentence"))
     assert err.value.kind == "overlong_prompt"
     assert stub.captured == []  # rejected before any request
+
+
+@pytest.mark.parametrize("system_role", [True, False])
+def test_http_renders_once_per_attempt_under_a_prompt_limit(stub, monkeypatch, system_role):
+    renders = []
+
+    def counting_render(prompt, template):
+        renders.append(prompt)
+        return render(prompt, template)
+
+    monkeypatch.setattr("littrans.backend.render", counting_render)
+    backend = http_backend(stub, max_prompt_chars=10_000, supports_system_role=system_role)
+    stub.enqueue(200, completion("Hello."))
+    assert backend.translate(GOLDEN_SPEC) == "Hello."
+    assert len(renders) == 1
+    backend.close()
+
+
+@pytest.mark.parametrize("main", [
+    "{context}{exemplars}{source}",
+    "{system}{context}{exemplars}Translate:\n{source}",
+    "{system}{context}{exemplars}{source}\n{system}",
+], ids=["no-system", "one-system", "two-systems"])
+@pytest.mark.parametrize("system_role", [True, False])
+@pytest.mark.parametrize("system_text", ["You are a careful translator.", ""])
+def test_http_overlong_exactly_when_the_rendered_prompt_is_longer(
+    stub, main, system_role, system_text
+):
+    # the limit caps the full rendered prompt, system block included,
+    # whichever messages carry it
+    template = PromptTemplate(main=main)
+    prompt = PromptSpec(system_text, GOLDEN_SPEC.context_block, GOLDEN_SPEC.exemplar_block, "六七八")
+    full = len(render(prompt, template))
+    for limit in (full - 1, full, full + 1):
+        backend = http_backend(
+            stub, max_prompt_chars=limit, supports_system_role=system_role, template=template
+        )
+        if full > limit:
+            with pytest.raises(BackendError) as err:
+                backend.translate(prompt)
+            assert err.value.kind == "overlong_prompt"
+            assert f"prompt is {full} chars" in str(err.value)
+        else:
+            stub.enqueue(200, completion("Six seven eight."))
+            assert backend.translate(prompt) == "Six seven eight."
+        backend.close()
+    assert len(stub.captured) == 2
 
 
 def test_http_api_key_env(stub, monkeypatch):

@@ -432,9 +432,9 @@ def test_malformed_backend_script_is_config_error(
         "translate", "--config", toy_config_path, "--out", str(out),
         "--set", f"backend.script_file={script_path}",
     ])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
+    err = capsys.readouterr().err  # read first, so a failure shows it
+    assert code == 1, err
+    assert named in err and "Traceback" not in err, err
     assert not (out / "hypotheses.jsonl").exists()
 
 

@@ -225,6 +225,11 @@ def test_all_empty_hypotheses_score_zero():
     assert report.score == 0.0
     assert report.hyp_length == 0
     assert report.brevity_penalty == 0.0
+    # empty against empty: no length shortfall, yet nothing to score
+    report = corpus_bleu([""], [""])
+    assert (report.brevity_penalty, report.score) == (0.0, 0.0)
+    assert report.precisions == (0.0,) * 4
+    assert (report.hyp_length, report.ref_length) == (0, 0)
 
 
 def test_smoothing_none_zero_precision_zeroes_score():

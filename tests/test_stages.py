@@ -23,7 +23,13 @@ from littrans.stages import (
     write_interlinear_file,
 )
 from littrans.tokenization import count_tokens
-from util import CapturingBackend, make_corpus, make_document
+from util import (
+    CapturingBackend,
+    make_corpus,
+    make_document,
+    naive_stage1_paragraphs,
+    naive_stage2_documents,
+)
 
 
 def word_counter(text):
@@ -115,6 +121,70 @@ def test_stage1_partition_property(counts, budget, breaks):
             assert u.token_count <= budget
         else:
             assert u.token_count > budget
+
+
+# texts mixing CJK characters, Latin and digit runs, CJK punctuation and
+# spaces, so that tokens merge across some joins and not across others
+mixed_texts = st.lists(
+    st.sampled_from(["山", "风", "の", "abc", "Z", "42", "x1", "。", "“", "”", "，", " ", "  "]),
+    min_size=1,
+    max_size=8,
+).map("".join)
+joiners = st.sampled_from([None, "", " ", "\n", "——", "x"])
+tokenizers = st.sampled_from([count_tokens, word_counter])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(mixed_texts, mixed_texts), min_size=1, max_size=12),
+    st.sets(st.integers(1, 11), max_size=3),
+    st.integers(1, 30),
+    joiners,
+    st.sampled_from(["source", "target"]),
+    tokenizers,
+)
+def test_stage1_priced_units_equal_the_naive_packer(pairs, breaks, budget, joiner, side, tokenizer):
+    # oracle: the packer that re-tokenizes each candidate paragraph in full
+    corpus = make_corpus([
+        make_document("a", pairs, chapter_breaks=breaks),
+        make_document("b", pairs[::-1]),
+    ])
+    units = build_stage1_paragraphs(corpus, side, budget, tokenizer, joiner)
+    assert units == naive_stage1_paragraphs(corpus, side, budget, tokenizer, joiner)
+    assert all(u.token_count == tokenizer(u.text) for u in units)
+
+
+def test_stage1_tokenizes_each_sentence_a_fixed_number_of_times():
+    # one unit of n sentences: the calls per sentence and the longest text
+    # tokenized do not grow with n
+    def calls_for(n):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return count_tokens(text)
+
+        sentences = [f"word{i} 山风。" for i in range(n)]
+        units = build_stage1_paragraphs(
+            make_corpus([make_document("a", sentences)]), budget=10**6, tokenizer=counting
+        )
+        assert len(units) == 1
+        assert max(map(len, calls)) <= max(map(len, sentences)) + len(" ") + 1
+        return len(calls)
+
+    assert calls_for(100) == 10 * calls_for(10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(mixed_texts, mixed_texts), min_size=1, max_size=8), max_size=3),
+    st.integers(1, 30),
+    tokenizers,
+)
+def test_stage2_documents_equal_the_naive_packer(docs, budget, tokenizer):
+    corpus = make_corpus([make_document(f"d{i}", pairs) for i, pairs in enumerate(docs)])
+    expected = naive_stage2_documents(corpus, budget, tokenizer)
+    assert build_stage2_documents(corpus, budget, tokenizer) == expected
 
 
 # --- interlinear format ---

@@ -16,7 +16,8 @@ from littrans import retrieval
 from littrans.corpus import Chapter, Corpus, Document, SentencePair
 from littrans.prompts import render
 from littrans.retrieval import ExemplarIndex
-from littrans.tokenization import _CJK_RANGES, terms
+from littrans.stages import InterlinearDocument, ParagraphUnit
+from littrans.tokenization import _CJK_RANGES, cjk_ratio, terms
 
 
 def naive_bleu(
@@ -271,6 +272,50 @@ def make_document(doc_id, sentences, chapter_breaks=(), chapter_prefix="c"):
 
 def make_corpus(docs, **meta):
     return Corpus(documents=tuple(docs), **meta)
+
+
+def naive_pack(items, too_big):
+    """Greedy packing that re-evaluates the whole candidate group for every
+    item: each item joins the open group unless too_big(group + [item])."""
+    group = []
+    for item in items:
+        if group and too_big(group + [item]):
+            yield group
+            group = []
+        group.append(item)
+    if group:
+        yield group
+
+
+def naive_stage1_paragraphs(corpus, side, budget, tokenizer, joiner):
+    """Stage 1 by re-tokenizing each candidate paragraph in full."""
+    units = []
+    for doc in corpus.documents:
+        for chapter in doc.chapters:
+            texts = [p.source if side == "source" else p.target for p in chapter.pairs]
+            if joiner is None:
+                sep = "" if cjk_ratio("".join(texts)) > 0.5 else " "
+            else:
+                sep = joiner
+            for group in naive_pack(texts, lambda g: tokenizer(sep.join(g)) > budget):
+                text = sep.join(group)
+                count = tokenizer(text)
+                units.append(ParagraphUnit(doc.doc_id, chapter.chapter_id, text, count, count > budget))
+    return units
+
+
+def naive_stage2_documents(corpus, budget, tokenizer):
+    """Stage 2 by summing each candidate document's pair costs in full."""
+    docs = []
+    for doc in corpus.documents:
+        pairs = [(p.source, p.target) for p in doc.pairs()]
+
+        def cost(group):
+            return sum(tokenizer(s) + tokenizer(t) for s, t in group)
+
+        for part, group in enumerate(naive_pack(pairs, lambda g: cost(g) > budget)):
+            docs.append(InterlinearDocument(f"{doc.doc_id}#p{part}", tuple(group), cost(group) > budget))
+    return docs
 
 
 def random_words(rng: random.Random, vocab, low=1, high=8):
