@@ -205,8 +205,6 @@ def translate_document(
     if own_prefix:
         index = ExemplarIndex(config.keyword_count)
     history: list[ContextEntry] = []
-    sources: list[str] = []
-    hypotheses: list[str] = []
     traces: list[SentenceTrace] = []
 
     for pair in doc.pairs():
@@ -228,8 +226,6 @@ def translate_document(
                     doc.doc_id, pair.seg_index, BackendError(attempts[-1])
                 )
             hyp = pair.source
-        sources.append(pair.source)
-        hypotheses.append(hyp)
         traces.append(
             SentenceTrace(
                 seg_index=pair.seg_index,
@@ -244,8 +240,8 @@ def translate_document(
 
     return DocumentTranslation(
         doc_id=doc.doc_id,
-        sources=tuple(sources),
-        hypotheses=tuple(hypotheses),
+        sources=tuple(e.source for e in history),
+        hypotheses=tuple(e.translation for e in history),
         traces=tuple(traces),
     )
 

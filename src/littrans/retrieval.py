@@ -16,20 +16,19 @@ upper bound on its score (see ExemplarIndex._bounds); an exemplar that
 shares no term scores 0 and is never returned. The bound uses each
 exemplar's exact norm: a built index, which holds one vector per exemplar,
 reads it from the vector; a grown one, which holds none, computes it, less
-a slack, from N, the sum of squared counts and two moments of the terms'
-ln(1 + df), which the first grown-index query fills in full and each later
-append keeps current. It then scores exemplars in descending bound with
-_score, the one scorer that similarity() also uses, reading each vector
-from a built index or weighing it then on a grown one, and stops when the
-next bound falls below the k-th best score so far by more than a rounding
-margin. Every exemplar that could still enter the top k, ties included, has
-been scored with the same floats as a full scan, so the ids are those a
-full scan returns.
+a slack, from N and three norm sums that append keeps from the first
+exemplar. It then scores exemplars in descending bound with _score, the one
+scorer that similarity() also uses, reading each vector from a built index
+or weighing it then on a grown one, and stops when the next bound falls
+below the k-th best score so far by more than a rounding margin. Every
+exemplar that could still enter the top k, ties included, has been scored
+with the same floats as a full scan, so the ids are those a full scan
+returns.
 
-build_index weighs the whole pool before it returns and never fills the
-moments, so queries never write a built index and concurrent queries are
-safe; an append makes it a grown index and drops its vectors. Incremental
-decoding appends to a per-document index of its own.
+No query writes an index, so concurrent queries are safe; only append
+does. A grown ExemplarIndex is what incremental decoding appends to, one
+per document. build_index returns a pool that holds its vectors and takes
+no appends; use it for a fixed pool.
 """
 
 from __future__ import annotations
@@ -106,12 +105,10 @@ class ExemplarIndex:
         self.keyword_count = keyword_count
         self.exemplars: list[Exemplar] = []
         self._postings: dict[str, list[tuple[int, int]]] = {}  # term -> (position, count)
-        # per exemplar: sum of squared term counts, number of keywords
-        self._count_squares: list[int] = []
-        self._keyword_sizes: list[int] = []
-        # per exemplar, the sums of c² ln(1 + df) and c² ln(1 + df)² over its
-        # terms; None until a grown index's _bounds first needs them
-        self._moments: tuple[list[float], list[float]] | None = None
+        self._keyword_sizes: list[int] = []  # per exemplar
+        # per exemplar, the sums S0 = Σc², S1 = Σc² ln(1 + df) and
+        # S2 = Σc² ln(1 + df)² over its terms, kept by append; None on a built index
+        self._moments: tuple[list[int], list[float], list[float]] | None = ([], [], [])
         # one vector per exemplar under the current N, held only by a built index
         self._vectors: list[_Vector] | None = None
 
@@ -120,6 +117,8 @@ class ExemplarIndex:
         return len(self.exemplars)
 
     def append(self, source: str, target: str, doc_id: str, seg_index: int) -> Exemplar:
+        if self._vectors is not None:
+            raise ValueError("a built index takes no appends; grow an ExemplarIndex instead")
         if not source.strip():
             raise ValueError("exemplar sources must be non-empty")
         counts = Counter(terms(source))
@@ -128,8 +127,9 @@ class ExemplarIndex:
         self.exemplars.append(ex)
         moments = self._moments
         if moments is not None:
-            moments[0].append(0.0)
+            moments[0].append(sum(c * c for c in counts.values()))
             moments[1].append(0.0)
+            moments[2].append(0.0)
         for t, c in counts.items():
             postings = self._postings.setdefault(t, [])
             if moments is not None:  # df rises by one: ln(1 + df) goes from old to new
@@ -137,9 +137,7 @@ class ExemplarIndex:
                 self._add_moments(postings, old, new)
                 self._add_moments(((position, c),), 0.0, new)
             postings.append((position, c))
-        self._count_squares.append(sum(c * c for c in counts.values()))
         self._keyword_sizes.append(min(self.keyword_count, len(counts)))
-        self._vectors = None
         return ex
 
     def _weigh(self, counts: Mapping[str, int]) -> _Vector:
@@ -147,9 +145,9 @@ class ExemplarIndex:
         return _weighed(counts, map(_idf, repeat(self.total_docs), dfs), self.keyword_count)
 
     def _add_moments(self, postings: Iterable[tuple[int, int]], old: float, new: float) -> None:
-        """Move the moments of each exemplar on postings from a term's
+        """Move S1 and S2 of each exemplar on postings from a term's
         ln(1 + df) = old to new: add c² (new - old) and c² (new² - old²)."""
-        s1, s2 = self._moments
+        _s0, s1, s2 = self._moments
         d1 = new - old
         d2 = new * new - old * old
         for position, c in postings:
@@ -166,11 +164,9 @@ class ExemplarIndex:
         over the shared terms is the exact one, each idf computed from N and
         df here. A built index reads each exemplar's exact norm from the
         vector it holds. A grown one, which holds no vectors, computes it from
-        the moments: as idf = A - ln(1 + df) with A = ln(1 + N) + 1, the
-        squared norm is A² S0 - 2A S1 + S2, where S0 is the sum of squared
-        counts and S1, S2 the moments. The first grown-index call fills them
-        in full, append keeps them after that, and build_index never does.
-        It takes off _NORM_SLACK (A² S0 + 2A S1 + S2) and never goes below
+        the norm sums that append keeps: as idf = A - ln(1 + df) with
+        A = ln(1 + N) + 1, the squared norm is A² S0 - 2A S1 + S2. It
+        takes off _NORM_SLACK (A² S0 + 2A S1 + S2) and never goes below
         S0, the squared norm if every idf were 1, so the bound differs from
         _score's cosine by rounding and that slack. The exemplar's keywords
         can only be query keywords it contains, and it has
@@ -179,10 +175,6 @@ class ExemplarIndex:
         q_weights, q_norm, q_keywords = query
         n = len(self.exemplars)
         vectors = self._vectors
-        if vectors is None and self._moments is None:  # filled in full at first use
-            self._moments = ([0.0] * n, [0.0] * n)
-            for postings in self._postings.values():
-                self._add_moments(postings, 0.0, math.log(1 + len(postings)))
         dot = [0.0] * n
         found = [0] * n  # query keywords among the exemplar's terms
         for t, q_weight in q_weights.items():
@@ -196,8 +188,7 @@ class ExemplarIndex:
             for position, c in postings:
                 dot[position] += q_weight * (c * idf)
         a = math.log(1 + n) + 1.0
-        count_squares = self._count_squares
-        s1, s2 = self._moments or ((), ())
+        s0s, s1s, s2s = self._moments or ((), (), ())
         keyword_sizes = self._keyword_sizes
         q_keyword_count = len(q_keywords)
         bounds = {}
@@ -210,10 +201,10 @@ class ExemplarIndex:
                 if vectors is not None:
                     norm = vectors[position][1]
                 else:
-                    s0 = count_squares[position]
+                    s0 = s0s[position]
                     a0 = a * a * s0
-                    a1 = 2.0 * a * s1[position]
-                    a2 = s2[position]
+                    a1 = 2.0 * a * s1s[position]
+                    a2 = s2s[position]
                     squared = a0 - a1 + a2 - _NORM_SLACK * (a0 + a1 + a2)
                     norm = math.sqrt(squared if squared > s0 else s0)
                 cosine = d / (q_norm * norm)
@@ -233,9 +224,10 @@ def build_index(
     Term weights are tf-idf with idf = ln((1 + N) / (1 + df)) + 1; keywords
     are the keyword_count terms of highest weight, extracted against the
     finished frequency table. It holds one vector per exemplar, weighed
-    before it returns, so a query never writes it and threads can share it.
+    before it returns, in place of the norm sums, and takes no appends.
     """
     index = ExemplarIndex(keyword_count)
+    index._moments = None  # a built index bounds with its vectors' exact norms
     for source, target, doc_id, seg_index in pool:
         index.append(source, target, doc_id, seg_index)
     index._vectors = [index._weigh(ex.term_counts) for ex in index.exemplars]

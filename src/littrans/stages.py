@@ -248,6 +248,8 @@ def build_stage3_instructions(
     pairs, so training and inference see identical text.
     """
     cfg = decoding_config
+    if index is None and cfg.exemplar_count > 0:
+        raise ValueError("stage 3 needs an exemplar index when exemplar_count > 0")
     records = []
     for doc, pair, done in _reference_pairs(corpus, "stage 3"):
         hits = []

@@ -241,20 +241,50 @@ def test_append_keeps_every_earlier_exemplar():
         assert all(a is b for a, b in zip(index.exemplars, kept, strict=True))
 
 
+def snapshot(index):
+    return {name: (value, copy.deepcopy(value)) for name, value in vars(index).items()}
+
+
+def assert_unchanged(index, before):
+    assert vars(index).keys() == before.keys()
+    for name, (value, copied) in before.items():
+        assert vars(index)[name] is value
+        assert value == copied, name
+        if isinstance(value, dict):  # Counter equality ignores zero counts
+            assert value.keys() == copied.keys(), name
+
+
+def assert_queries_leave_unwritten(index):
+    before = snapshot(index)
+    top_k("a b c unseen", index, 2)  # weighs a term outside the pool
+    top_k("d", index, 3, exclude=lambda d, s: d == "p")
+    for ex in index.exemplars:
+        similarity("c a", ex, index)
+    assert_unchanged(index, before)
+
+
 def test_queries_leave_a_built_index_unwritten(toy_index):
     # nothing a query does may write a built index: run_corpus threads
     # share one
-    before = {name: (value, copy.deepcopy(value)) for name, value in vars(toy_index).items()}
-    top_k("a b c unseen", toy_index, 2)  # weighs a term outside the pool
-    top_k("d", toy_index, 3, exclude=lambda d, s: d == "p")
-    for ex in toy_index.exemplars:
-        similarity("c a", ex, toy_index)
-    assert vars(toy_index).keys() == before.keys()
-    for name, (value, snapshot) in before.items():
-        assert vars(toy_index)[name] is value
-        assert value == snapshot, name
-        if isinstance(value, dict):  # Counter equality ignores zero counts
-            assert value.keys() == snapshot.keys(), name
+    assert_queries_leave_unwritten(toy_index)
+
+
+def test_queries_leave_a_grown_index_unwritten():
+    # only append writes a grown index, so its first query finds the norm
+    # sums already kept
+    index = ExemplarIndex()
+    for source, target, doc_id, seg_index in TOY_POOL:
+        index.append(source, target, doc_id, seg_index)
+    assert_queries_leave_unwritten(index)
+
+
+@pytest.mark.parametrize("pool", [TOY_POOL, []])
+def test_a_built_index_takes_no_appends(pool):
+    index = build_index(pool)
+    before = snapshot(index)
+    with pytest.raises(ValueError, match="a built index takes no appends"):
+        index.append("a b", "A B", "r", 0)
+    assert_unchanged(index, before)
 
 
 def test_build_index_rejects_empty_source():
@@ -395,20 +425,22 @@ def test_bounds_cover_exact_scores_over_a_long_document():
 
 
 @settings(max_examples=100, deadline=None)
-@given(tie_prone_sentences, alphas, st.integers(1, 3), st.integers(1, 5))
-def test_appends_after_a_build_keep_the_ids_and_bounds(sentences, alpha, k, keyword_count):
-    # the first query after the build's vectors are dropped fills the
-    # grown index's norms in full, over every exemplar built before it
-    half = len(sentences) // 2
-    pool = [(source, "t", "d", i) for i, source in enumerate(sentences[:half])]
-    index = build_index(pool, keyword_count)
-    for i, source in enumerate(sentences[half:], start=half):
-        exclude = exclude_at_or_after("d", i)
-        assert ids(top_k(source, index, k, exclude=exclude, alpha=alpha)) == ids(
-            full_scan_top_k(source, index, k, exclude=exclude, alpha=alpha)
-        ), i
-        assert_bounds_cover_exact_scores(index, source, alpha)
+@given(tie_prone_sentences, st.integers(1, 5))
+def test_appends_keep_the_norm_sums(sentences, keyword_count):
+    # S0 = Σc², S1 = Σc² ln(1 + df) and S2 = Σc² ln(1 + df)², with df
+    # counted from the pool's sources
+    index = ExemplarIndex(keyword_count)
+    for i, source in enumerate(sentences):
         index.append(source, source.upper(), "d", i)
+    doc_freq = source_doc_freq(index)
+    s0, s1, s2 = index._moments
+    for position, ex in enumerate(index.exemplars):
+        counts = ex.term_counts
+        assert s0[position] == sum(c * c for c in counts.values())
+        want1 = sum(c * c * math.log(1 + doc_freq[t]) for t, c in counts.items())
+        want2 = sum(c * c * math.log(1 + doc_freq[t]) ** 2 for t, c in counts.items())
+        assert math.isclose(s1[position], want1, rel_tol=1e-9), position
+        assert math.isclose(s2[position], want2, rel_tol=1e-9), position
 
 
 @settings(max_examples=100, deadline=None)

@@ -423,6 +423,13 @@ def test_stage3_requires_parallel():
         build_stage3_instructions(mono, stage3_config(), build_index([]))
 
 
+def test_stage3_needs_a_pool_only_for_exemplars():
+    corpus = _stage3_corpus()
+    with pytest.raises(ValueError, match="needs an exemplar index when exemplar_count > 0"):
+        build_stage3_instructions(corpus, stage3_config(k=1), None)
+    assert len(build_stage3_instructions(corpus, stage3_config(k=0), None)) == 3
+
+
 def test_stage3_context_block_only_when_preceded():
     corpus = _stage3_corpus()
     index = build_index(pool_from_pairs(corpus.documents[0].pairs()))
