@@ -9,21 +9,22 @@ source into terms once, keeps its term counts and adds (position, count)
 to the postings of each term, so a term's document frequency is the length
 of its postings list. Every append changes N and so every idf, and each
 idf is computed from N and df where it is read, so no table goes stale.
+A pool from build_index keeps positions in its postings and, beside them,
+each exemplar's weight c·idf/‖e‖ under its final N.
 
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
 upper bound on its score (see ExemplarIndex._bounds); an exemplar that
 shares no term scores 0 and is never returned. The bound uses each
-exemplar's exact norm: a built index, which holds one vector per exemplar,
-reads it from the vector; a grown one, which holds none, computes it, less
-a slack, from N and three norm sums that append keeps from the first
-exemplar. It then scores exemplars in descending bound with _score, the one
-scorer that similarity() also uses, reading each vector from a built index
-or weighing it then on a grown one, and stops when the next bound falls
-below the k-th best score so far by more than a rounding margin. Every
-exemplar that could still enter the top k, ties included, has been scored
-with the same floats as a full scan, so the ids are those a full scan
-returns.
+exemplar's exact norm: a built index has divided its postings' weights by
+it; a grown one, which holds no vectors, computes it, less a slack, from N
+and three norm sums that append keeps from the first exemplar. It then
+scores exemplars in descending bound with _score, the one scorer that
+similarity() also uses, reading each vector from a built index or weighing
+it then on a grown one, and stops when the next bound falls below the k-th
+best score so far by more than a rounding margin. Every exemplar that could
+still enter the top k, ties included, has been scored with the same floats
+as a full scan, so the ids are those a full scan returns.
 
 No query writes an index, so concurrent queries are safe; only append
 does. A grown ExemplarIndex is what incremental decoding appends to, one
@@ -37,7 +38,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress
 from operator import mul
 from typing import Callable, Iterable, Mapping
 
@@ -104,13 +105,14 @@ class ExemplarIndex:
             raise ValueError("keyword_count must be >= 1")
         self.keyword_count = keyword_count
         self.exemplars: list[Exemplar] = []
-        self._postings: dict[str, list[tuple[int, int]]] = {}  # term -> (position, count)
+        self._postings: dict[str, list] = {}  # term -> (position, count)s; positions if built
         self._keyword_sizes: list[int] = []  # per exemplar
         # per exemplar, the sums S0 = Σc², S1 = Σc² ln(1 + df) and
         # S2 = Σc² ln(1 + df)² over its terms, kept by append; None on a built index
         self._moments: tuple[list[int], list[float], list[float]] | None = ([], [], [])
-        # one vector per exemplar under the current N, held only by a built index
+        # held only by a built index: one vector per exemplar, and its postings' weights
         self._vectors: list[_Vector] | None = None
+        self._weights: dict[str, tuple[float, ...]] | None = None
 
     @property
     def total_docs(self) -> int:
@@ -132,17 +134,20 @@ class ExemplarIndex:
             moments[2].append(0.0)
         for t, c in counts.items():
             postings = self._postings.setdefault(t, [])
-            if moments is not None:  # df rises by one: ln(1 + df) goes from old to new
-                old, new = math.log(1 + len(postings)), math.log(2 + len(postings))
-                self._add_moments(postings, old, new)
-                self._add_moments(((position, c),), 0.0, new)
+            if moments is None:  # built: positions, and build_index adds the weights
+                postings.append(position)
+                continue
+            old, new = math.log(1 + len(postings)), math.log(2 + len(postings))  # df + 1
+            self._add_moments(postings, old, new)
+            self._add_moments(((position, c),), 0.0, new)
             postings.append((position, c))
         self._keyword_sizes.append(min(self.keyword_count, len(counts)))
         return ex
 
     def _weigh(self, counts: Mapping[str, int]) -> _Vector:
-        dfs = map(len, map(self._postings.get, counts, repeat(())))
-        return _weighed(counts, map(_idf, repeat(self.total_docs), dfs), self.keyword_count)
+        postings, n1 = self._postings, 1 + self.total_docs  # each idf as _idf computes it
+        idfs = [math.log(n1 / (1 + len(postings.get(t, ())))) + 1.0 for t in counts]
+        return _weighed(counts, idfs, self.keyword_count)
 
     def _add_moments(self, postings: Iterable[tuple[int, int]], old: float, new: float) -> None:
         """Move S1 and S2 of each exemplar on postings from a term's
@@ -155,26 +160,43 @@ class ExemplarIndex:
             s1[position] += cc * d1
             s2[position] += cc * d2
 
-    def _bounds(self, query: _Vector, alpha: float) -> dict[int, float]:
-        """An upper bound on the combined score of every exemplar that
-        shares a term with the query and may score above 0, by position;
-        the others score 0.
+    def _bounds(self, query: _Vector, alpha: float) -> list[float]:
+        """An upper bound on the combined score of each exemplar, by
+        position; 0 where it shares no term with the query (or, at alpha 0,
+        no query keyword), as its score is then 0.
 
         Both sides weigh a shared term with the same idf, so the dot product
-        over the shared terms is the exact one, each idf computed from N and
-        df here. A built index reads each exemplar's exact norm from the
-        vector it holds. A grown one, which holds no vectors, computes it from
-        the norm sums that append keeps: as idf = A - ln(1 + df) with
-        A = ln(1 + N) + 1, the squared norm is A² S0 - 2A S1 + S2. It
-        takes off _NORM_SLACK (A² S0 + 2A S1 + S2) and never goes below
-        S0, the squared norm if every idf were 1, so the bound differs from
-        _score's cosine by rounding and that slack. The exemplar's keywords
-        can only be query keywords it contains, and it has
-        min(keyword_count, distinct terms) of them.
+        over the shared terms is the exact one. A built index sums
+        (alpha q_t / ‖q‖) w over the postings, each w already divided by
+        its exemplar's exact norm. A grown one computes each idf from N and
+        df here and each norm from the norm sums that append keeps: as
+        idf = A - ln(1 + df) with A = ln(1 + N) + 1, the squared norm is
+        A² S0 - 2A S1 + S2. It takes off _NORM_SLACK (A² S0 + 2A S1 + S2)
+        and never goes below S0, the squared norm if every idf were 1, so
+        the bound differs from _score's cosine by rounding and that slack.
+        The exemplar's keywords can only be query keywords it contains, and
+        it has min(keyword_count, distinct terms) of them; a built index
+        reads only the query keywords' postings for that part.
         """
         q_weights, q_norm, q_keywords = query
         n = len(self.exemplars)
-        vectors = self._vectors
+        keyword_sizes = self._keyword_sizes
+        q_keyword_count = len(q_keywords)
+        weights = self._weights
+        if weights is not None:
+            bounds = [0.0] * n
+            for t, q_weight in q_weights.items():
+                if t in weights:
+                    scale = alpha * q_weight / q_norm
+                    for position, w in zip(self._postings[t], weights[t]):
+                        bounds[position] += scale * w
+            found = Counter(p for t in q_keywords for p in self._postings.get(t, ()))
+            for position, j in found.items():
+                kc = keyword_sizes[position]
+                if j > kc:
+                    j = kc
+                bounds[position] += (1.0 - alpha) * j / (q_keyword_count + kc - j)
+            return bounds
         dot = [0.0] * n
         found = [0] * n  # query keywords among the exemplar's terms
         for t, q_weight in q_weights.items():
@@ -188,31 +210,23 @@ class ExemplarIndex:
             for position, c in postings:
                 dot[position] += q_weight * (c * idf)
         a = math.log(1 + n) + 1.0
-        s0s, s1s, s2s = self._moments or ((), (), ())
-        keyword_sizes = self._keyword_sizes
-        q_keyword_count = len(q_keywords)
-        bounds = {}
+        s0s, s1s, s2s = self._moments
         for position, d in enumerate(dot):
             if d:
                 kc = keyword_sizes[position]
                 j = found[position]
                 if j > kc:
                     j = kc
-                if vectors is not None:
-                    norm = vectors[position][1]
-                else:
-                    s0 = s0s[position]
-                    a0 = a * a * s0
-                    a1 = 2.0 * a * s1s[position]
-                    a2 = s2s[position]
-                    squared = a0 - a1 + a2 - _NORM_SLACK * (a0 + a1 + a2)
-                    norm = math.sqrt(squared if squared > s0 else s0)
+                s0 = s0s[position]
+                a0 = a * a * s0
+                a1 = 2.0 * a * s1s[position]
+                a2 = s2s[position]
+                squared = a0 - a1 + a2 - _NORM_SLACK * (a0 + a1 + a2)
+                norm = math.sqrt(squared if squared > s0 else s0)
                 cosine = d / (q_norm * norm)
                 jaccard = j / (q_keyword_count + kc - j)
-                bound = alpha * cosine + (1.0 - alpha) * jaccard
-                if bound > 0.0:  # 0 only at alpha 0 without a query keyword: scores 0
-                    bounds[position] = bound
-        return bounds
+                dot[position] = alpha * cosine + (1.0 - alpha) * jaccard
+        return dot
 
 
 def build_index(
@@ -224,13 +238,18 @@ def build_index(
     Term weights are tf-idf with idf = ln((1 + N) / (1 + df)) + 1; keywords
     are the keyword_count terms of highest weight, extracted against the
     finished frequency table. It holds one vector per exemplar, weighed
-    before it returns, in place of the norm sums, and takes no appends.
+    before it returns, in place of the norm sums, and takes no appends. A
+    term's postings hold its exemplars' positions and weights c·idf/‖e‖.
     """
     index = ExemplarIndex(keyword_count)
-    index._moments = None  # a built index bounds with its vectors' exact norms
+    index._moments = None  # a built index bounds with normalized weights
     for source, target, doc_id, seg_index in pool:
         index.append(source, target, doc_id, seg_index)
-    index._vectors = [index._weigh(ex.term_counts) for ex in index.exemplars]
+    index._vectors = vectors = [index._weigh(ex.term_counts) for ex in index.exemplars]
+    index._weights = {
+        t: tuple(vectors[p][0][t] / vectors[p][1] for p in positions)
+        for t, positions in index._postings.items()
+    }
     return index
 
 
@@ -297,7 +316,8 @@ def top_k(
     vectors = index._vectors
     kth: list[float] = []  # min-heap of the k best exact scores so far
     scored = []
-    for position in sorted(bounds, key=bounds.__getitem__, reverse=True):
+    positions = compress(range(len(bounds)), bounds)  # a bound of 0 scores 0
+    for position in sorted(positions, key=bounds.__getitem__, reverse=True):
         if len(kth) == k and bounds[position] < kth[0] - _BOUND_MARGIN:
             break  # no later candidate can reach the k-th best score
         ex = index.exemplars[position]

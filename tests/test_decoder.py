@@ -103,6 +103,7 @@ def test_prompt_rejects_future_exemplar():
         ("line one\n\nline two", "line one line two"),
         ('"outer "inner" outer"', 'outer "inner" outer'),
         ("plain", "plain"),
+        ('""', ""),  # a pair of quotes around nothing
     ],
 )
 def test_clean_hypothesis(raw, expected):
@@ -217,6 +218,19 @@ def test_retry_exhaustion_copies_source():
     assert result.hypotheses[1:] == ("B", "C")  # document continues
 
 
+def test_no_wait_follows_the_final_attempt():
+    script = {"alpha one": [{"error": "network"}], "beta two": "B", "gamma three": "C"}
+    slept = []
+    result = translate_document(
+        doc_abc(),
+        ScriptedBackend(script),
+        config=DecodingConfig(max_attempts=2, backoff_initial=0.5),
+        sleep=slept.append,
+    )
+    assert result.traces[0].attempts == ("network", "network")
+    assert slept == [0.5]  # between the two attempts, none after the last
+
+
 def test_non_retryable_error_stops_immediately():
     script = {
         "alpha one": [{"error": "overlong_prompt"}, {"text": "never"}],
@@ -248,6 +262,15 @@ def test_empty_output_retries_then_falls_back():
     )
     assert result.traces[0].attempts == ("empty_output", "empty_output")
     assert result.hypotheses[0] == "alpha one"
+
+
+def test_a_quoted_empty_reply_is_empty_output():
+    script = {"alpha one": [{"text": '""'}, {"text": "A"}], "beta two": "B", "gamma three": "C"}
+    result = translate_document(
+        doc_abc(), ScriptedBackend(script), config=fast(max_attempts=2), sleep=no_sleep
+    )
+    assert result.traces[0].attempts == ("empty_output", "ok")
+    assert result.hypotheses[0] == "A"
 
 
 def test_history_threads_into_prompts():

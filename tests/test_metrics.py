@@ -256,6 +256,24 @@ def test_matches_naive_oracle(pairs):
     assert (report.hyp_length, report.ref_length) == (hyp_len, ref_len)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(SENTENCES, SENTENCES), min_size=1, max_size=6))
+def test_unigram_bleu_matches_naive_oracle(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    config = BleuConfig(max_order=1)
+    report = corpus_bleu(hyps, refs, config)
+    score, precisions, bp, hyp_len, ref_len = naive_bleu(
+        [tokenize(h, config.tokenization) for h in hyps],
+        [tokenize(r, config.tokenization) for r in refs],
+        max_order=1,
+    )
+    assert report.score == pytest.approx(score, abs=1e-9)
+    assert list(report.precisions) == pytest.approx(precisions)
+    assert report.brevity_penalty == pytest.approx(bp)
+    assert (report.hyp_length, report.ref_length) == (hyp_len, ref_len)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(SENTENCES, SENTENCES), min_size=2, max_size=6), st.randoms(use_true_random=False))
 def test_permutation_invariance(pairs, rng):

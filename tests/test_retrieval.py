@@ -50,6 +50,13 @@ def toy_index():
     return build_index(TOY_POOL)
 
 
+def grown_index(pool):
+    index = ExemplarIndex()
+    for source, target, doc_id, seg_index in pool:
+        index.append(source, target, doc_id, seg_index)
+    return index
+
+
 def test_build_index_df_table(toy_index):
     # oracle: manual document-frequency count over the three sources
     assert source_doc_freq(toy_index) == {"a": 2, "b": 2, "c": 2, "d": 1}
@@ -272,10 +279,7 @@ def test_queries_leave_a_built_index_unwritten(toy_index):
 def test_queries_leave_a_grown_index_unwritten():
     # only append writes a grown index, so its first query finds the norm
     # sums already kept
-    index = ExemplarIndex()
-    for source, target, doc_id, seg_index in TOY_POOL:
-        index.append(source, target, doc_id, seg_index)
-    assert_queries_leave_unwritten(index)
+    assert_queries_leave_unwritten(grown_index(TOY_POOL))
 
 
 @pytest.mark.parametrize("pool", [TOY_POOL, []])
@@ -387,18 +391,18 @@ def test_top_k_equals_full_scan_on_a_built_index(sentences, alpha, k, keyword_co
         ), (doc_id, seg_index)
 
 
-def assert_bounds_cover_exact_scores(index, query, alpha):
+def assert_bounds_cover_exact_scores(index, query, alpha, cosine_slack=1e-6):
     """Every bound covers its exact score, and only zero scores are left
-    out; at alpha 1 the bound is the cosine with the exact norm, less a
-    slack."""
+    out; at alpha 1 the bound is the cosine, within cosine_slack of it."""
     q = index._weigh(Counter(terms(query)))
     bounds = index._bounds(q, alpha)
-    for position in range(index.total_docs):
+    assert len(bounds) == index.total_docs
+    for position, bound in enumerate(bounds):
         score = retrieval._score(q, index._weigh(index.exemplars[position].term_counts), alpha)[0]
-        if position in bounds:
-            assert bounds[position] >= score - 1e-9, (query, position)
+        if bound:
+            assert bound >= score - 1e-9, (query, position)
             if alpha == 1.0:
-                assert bounds[position] <= score + 1e-6, (query, position)
+                assert bound <= score + cosine_slack, (query, position)
         else:
             assert score == 0.0, (query, position)
 
@@ -446,20 +450,38 @@ def test_appends_keep_the_norm_sums(sentences, keyword_count):
 @settings(max_examples=100, deadline=None)
 @given(tie_prone_sentences, tie_prone_sentences, alphas, st.integers(1, 5))
 def test_bounds_cover_exact_scores_on_a_built_index(sentences, queries, alpha, keyword_count):
-    # a built index bounds with each exemplar's exact norm; "g" is outside
-    # the pool
+    # a built index bounds with weights normalized by each exemplar's exact
+    # norm, so at alpha 1 the bound is the exact cosine, summed in another
+    # order; "g" is outside the pool
     index = build_index([(source, "t", "d", i) for i, source in enumerate(sentences)], keyword_count)
     for query in sentences + queries + ["a g", "g"]:
-        q = index._weigh(Counter(terms(query)))
-        bounds = index._bounds(q, alpha)
-        for position in range(index.total_docs):
-            score = retrieval._score(q, index._weigh(index.exemplars[position].term_counts), alpha)[0]
-            if position in bounds:
-                assert bounds[position] >= score - 1e-9, (query, position)
-                if alpha == 1.0:  # the bound is the exact cosine, summed in another order
-                    assert bounds[position] <= score + 1e-9, (query, position)
-            else:
-                assert score == 0.0, (query, position)
+        assert_bounds_cover_exact_scores(index, query, alpha, cosine_slack=1e-9)
+
+
+def test_a_built_corpus_pool_equals_full_scan():
+    # six documents of 100 zh-like sentences, as stage 3 indexes a corpus:
+    # "。" puts every exemplar on one postings list, which the tie-prone
+    # pools never do
+    sentences = zipf_sentences(600, seed=11)
+    pool = [(source, "t", f"d{i // 100}", i % 100) for i, source in enumerate(sentences)]
+    index = build_index(pool)
+    assert len(index._postings["。"]) == len(pool)
+    for source, _target, doc_id, seg_index in random.Random(11).sample(pool, 20):
+        exclude = exclude_at_or_after(doc_id, seg_index)
+        for alpha in (0.0, 0.5, 1.0):
+            assert ids(top_k(source, index, 5, exclude=exclude, alpha=alpha)) == ids(
+                full_scan_top_k(source, index, 5, exclude=exclude, alpha=alpha)
+            ), (doc_id, seg_index, alpha)
+            assert_bounds_cover_exact_scores(index, source, alpha, cosine_slack=1e-9)
+
+
+@pytest.mark.parametrize("make_index", [build_index, grown_index])
+def test_a_query_without_terms_returns_nothing(make_index):
+    index = make_index(TOY_POOL)
+    for query in ("", "   "):
+        for k in (1, 3):
+            for alpha in (0.0, 0.5, 1.0):
+                assert top_k(query, index, k, alpha=alpha) == [], (query, k, alpha)
 
 
 weight_dicts = st.dictionaries(
