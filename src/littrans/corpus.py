@@ -285,16 +285,3 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
-
-def _record(pair: SentencePair) -> dict:
-    rec = dict(vars(pair))
-    if not pair.chapter_id:
-        del rec["chapter_id"]
-    if pair.target is None:
-        del rec["target"]
-    return rec
-
-
-def write_records(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus in the record format; load_records round-trips it."""
-    write_jsonl(path, (_record(p) for d in corpus.documents for p in d.pairs()))

@@ -4,27 +4,29 @@ Candidates are scored by a blend of two lexical signals: cosine similarity
 between tf-idf term vectors and Jaccard overlap between keyword sets,
 combined as ``alpha * cosine + (1 - alpha) * jaccard``.
 
-ExemplarIndex is the one pool type. It grows by append, which splits the
-source into terms once, keeps its term counts and adds (position, count)
-to the postings of each term, so a term's document frequency is the length
-of its postings list. Every append changes N and so every idf, and each
-idf is computed from N and df where it is read, so no table goes stale.
-A pool from build_index keeps positions in its postings and, beside them,
-each exemplar's weight c·idf/‖e‖ under its final N.
+ExemplarIndex is the one pool type, and both of its kinds hold one inverted
+file: per term, the positions of the exemplars that hold it and, beside
+them, one value per posting. A term's document frequency is the length of
+its postings list. The kinds differ only in those values and in one step
+of the bound pass. A grown index keeps each term's count c as its value:
+every append changes N and so every idf, and each idf is computed from N
+and df where it is read, so no table goes stale. A pool from build_index
+keeps the weight c·idf/‖e‖ under its final N instead.
 
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
 upper bound on its score (see ExemplarIndex._bounds); an exemplar that
 shares no term scores 0 and is never returned. The bound uses each
-exemplar's exact norm: a built index has divided its postings' weights by
-it; a grown one, which holds no vectors, computes it, less a slack, from N
-and three norm sums that append keeps from the first exemplar. It then
-scores exemplars in descending bound with _score, the one scorer that
-similarity() also uses, reading each vector from a built index or weighing
-it then on a grown one, and stops when the next bound falls below the k-th
-best score so far by more than a rounding margin. Every exemplar that could
-still enter the top k, ties included, has been scored with the same floats
-as a full scan, so the ids are those a full scan returns.
+exemplar's exact norm: a built index's values are already divided by it;
+on a grown one, which holds no vectors, the pass weighs the counts and
+divides by a norm computed, less a slack, from N and three norm sums that
+append keeps from the first exemplar. top_k then scores exemplars in
+descending bound with _score, the one scorer that similarity() also uses,
+reading each vector from a built index or weighing it then on a grown one,
+and stops when the next bound falls below the k-th best score so far by
+more than a rounding margin. Every exemplar that could still enter the top
+k, ties included, has been scored with the same floats as a full scan, so
+the ids are those a full scan returns.
 
 No query writes an index, so concurrent queries are safe; only append
 does. A grown ExemplarIndex is what incremental decoding appends to, one
@@ -105,14 +107,15 @@ class ExemplarIndex:
             raise ValueError("keyword_count must be >= 1")
         self.keyword_count = keyword_count
         self.exemplars: list[Exemplar] = []
-        self._postings: dict[str, list] = {}  # term -> (position, count)s; positions if built
+        self._postings: dict[str, list[int]] = {}  # term -> positions of its exemplars
+        # term -> one value per posting: the count c on a grown index, the
+        # weight c·idf/‖e‖ on a built one
+        self._values: dict[str, list] = {}
         self._keyword_sizes: list[int] = []  # per exemplar
         # per exemplar, the sums S0 = Σc², S1 = Σc² ln(1 + df) and
         # S2 = Σc² ln(1 + df)² over its terms, kept by append; None on a built index
         self._moments: tuple[list[int], list[float], list[float]] | None = ([], [], [])
-        # held only by a built index: one vector per exemplar, and its postings' weights
-        self._vectors: list[_Vector] | None = None
-        self._weights: dict[str, tuple[float, ...]] | None = None
+        self._vectors: list[_Vector] | None = None  # one per exemplar, held only if built
 
     @property
     def total_docs(self) -> int:
@@ -134,13 +137,13 @@ class ExemplarIndex:
             moments[2].append(0.0)
         for t, c in counts.items():
             postings = self._postings.setdefault(t, [])
-            if moments is None:  # built: positions, and build_index adds the weights
-                postings.append(position)
-                continue
-            old, new = math.log(1 + len(postings)), math.log(2 + len(postings))  # df + 1
-            self._add_moments(postings, old, new)
-            self._add_moments(((position, c),), 0.0, new)
-            postings.append((position, c))
+            if moments is not None:  # grown; build_index adds a built index's values
+                values = self._values.setdefault(t, [])
+                old, new = math.log(1 + len(postings)), math.log(2 + len(postings))  # df + 1
+                self._add_moments(postings, values, old, new)
+                self._add_moments((position,), (c,), 0.0, new)
+                values.append(c)
+            postings.append(position)
         self._keyword_sizes.append(min(self.keyword_count, len(counts)))
         return ex
 
@@ -149,13 +152,15 @@ class ExemplarIndex:
         idfs = [math.log(n1 / (1 + len(postings.get(t, ())))) + 1.0 for t in counts]
         return _weighed(counts, idfs, self.keyword_count)
 
-    def _add_moments(self, postings: Iterable[tuple[int, int]], old: float, new: float) -> None:
-        """Move S1 and S2 of each exemplar on postings from a term's
+    def _add_moments(
+        self, positions: Iterable[int], counts: Iterable[int], old: float, new: float
+    ) -> None:
+        """Move S1 and S2 of each exemplar on a term's postings from its
         ln(1 + df) = old to new: add c² (new - old) and c² (new² - old²)."""
         _s0, s1, s2 = self._moments
         d1 = new - old
         d2 = new * new - old * old
-        for position, c in postings:
+        for position, c in zip(positions, counts):
             cc = c * c
             s1[position] += cc * d1
             s2[position] += cc * d2
@@ -165,68 +170,53 @@ class ExemplarIndex:
         position; 0 where it shares no term with the query (or, at alpha 0,
         no query keyword), as its score is then 0.
 
-        Both sides weigh a shared term with the same idf, so the dot product
-        over the shared terms is the exact one. A built index sums
-        (alpha q_t / ‖q‖) w over the postings, each w already divided by
-        its exemplar's exact norm. A grown one computes each idf from N and
-        df here and each norm from the norm sums that append keeps: as
+        One pass over the query's terms adds (alpha q_t / ‖q‖) v to the
+        bound of each posting. Both sides weigh a shared term with the same
+        idf, so this is the exact cosine over the shared terms, once each v
+        is divided by its exemplar's norm. A built index's v already is: the
+        weight c·idf/‖e‖. A grown one's v is the count c, so the pass also
+        multiplies by the idf computed from N and df here, then divides each
+        nonzero bound by the norm from the sums that append keeps: as
         idf = A - ln(1 + df) with A = ln(1 + N) + 1, the squared norm is
         A² S0 - 2A S1 + S2. It takes off _NORM_SLACK (A² S0 + 2A S1 + S2)
         and never goes below S0, the squared norm if every idf were 1, so
         the bound differs from _score's cosine by rounding and that slack.
-        The exemplar's keywords can only be query keywords it contains, and
-        it has min(keyword_count, distinct terms) of them; a built index
-        reads only the query keywords' postings for that part.
+        The keyword part reads only the query keywords' postings: the
+        exemplar's keywords can only be query keywords it contains, and it
+        has min(keyword_count, distinct terms) of them.
         """
         q_weights, q_norm, q_keywords = query
         n = len(self.exemplars)
-        keyword_sizes = self._keyword_sizes
-        q_keyword_count = len(q_keywords)
-        weights = self._weights
-        if weights is not None:
-            bounds = [0.0] * n
-            for t, q_weight in q_weights.items():
-                if t in weights:
-                    scale = alpha * q_weight / q_norm
-                    for position, w in zip(self._postings[t], weights[t]):
-                        bounds[position] += scale * w
-            found = Counter(p for t in q_keywords for p in self._postings.get(t, ()))
-            for position, j in found.items():
-                kc = keyword_sizes[position]
-                if j > kc:
-                    j = kc
-                bounds[position] += (1.0 - alpha) * j / (q_keyword_count + kc - j)
-            return bounds
-        dot = [0.0] * n
-        found = [0] * n  # query keywords among the exemplar's terms
+        postings, values, moments = self._postings, self._values, self._moments
+        bounds = [0.0] * n
         for t, q_weight in q_weights.items():
-            postings = self._postings.get(t)
-            if postings is None:
+            positions = postings.get(t)
+            if positions is None:
                 continue
-            idf = _idf(n, len(postings))
-            if t in q_keywords:
-                for position, _c in postings:
-                    found[position] += 1
-            for position, c in postings:
-                dot[position] += q_weight * (c * idf)
-        a = math.log(1 + n) + 1.0
-        s0s, s1s, s2s = self._moments
-        for position, d in enumerate(dot):
-            if d:
-                kc = keyword_sizes[position]
-                j = found[position]
-                if j > kc:
-                    j = kc
-                s0 = s0s[position]
-                a0 = a * a * s0
-                a1 = 2.0 * a * s1s[position]
-                a2 = s2s[position]
-                squared = a0 - a1 + a2 - _NORM_SLACK * (a0 + a1 + a2)
-                norm = math.sqrt(squared if squared > s0 else s0)
-                cosine = d / (q_norm * norm)
-                jaccard = j / (q_keyword_count + kc - j)
-                dot[position] = alpha * cosine + (1.0 - alpha) * jaccard
-        return dot
+            factor = alpha * q_weight / q_norm
+            if moments is not None:  # a grown index's values are counts
+                factor *= _idf(n, len(positions))
+            for position, v in zip(positions, values[t]):
+                bounds[position] += factor * v
+        if moments is not None:
+            a = math.log(1 + n) + 1.0
+            s0s, s1s, s2s = moments
+            for position, bound in enumerate(bounds):
+                if bound:
+                    s0 = s0s[position]
+                    a0 = a * a * s0
+                    a1 = 2.0 * a * s1s[position]
+                    a2 = s2s[position]
+                    squared = a0 - a1 + a2 - _NORM_SLACK * (a0 + a1 + a2)
+                    bounds[position] = bound / math.sqrt(squared if squared > s0 else s0)
+        keyword_sizes, q_keyword_count = self._keyword_sizes, len(q_keywords)
+        found = Counter(p for t in q_keywords for p in postings.get(t, ()))
+        for position, j in found.items():
+            kc = keyword_sizes[position]
+            if j > kc:
+                j = kc
+            bounds[position] += (1.0 - alpha) * j / (q_keyword_count + kc - j)
+        return bounds
 
 
 def build_index(
@@ -238,16 +228,16 @@ def build_index(
     Term weights are tf-idf with idf = ln((1 + N) / (1 + df)) + 1; keywords
     are the keyword_count terms of highest weight, extracted against the
     finished frequency table. It holds one vector per exemplar, weighed
-    before it returns, in place of the norm sums, and takes no appends. A
-    term's postings hold its exemplars' positions and weights c·idf/‖e‖.
+    before it returns, in place of the norm sums, and takes no appends. Each
+    posting's value is its exemplar's weight c·idf/‖e‖.
     """
     index = ExemplarIndex(keyword_count)
-    index._moments = None  # a built index bounds with normalized weights
+    index._moments = None  # a built index's values are normalized weights
     for source, target, doc_id, seg_index in pool:
         index.append(source, target, doc_id, seg_index)
     index._vectors = vectors = [index._weigh(ex.term_counts) for ex in index.exemplars]
-    index._weights = {
-        t: tuple(vectors[p][0][t] / vectors[p][1] for p in positions)
+    index._values = {
+        t: [vectors[p][0][t] / vectors[p][1] for p in positions]
         for t, positions in index._postings.items()
     }
     return index
@@ -264,10 +254,7 @@ def _cosine(u: dict[str, float], norm_u: float, v: dict[str, float], norm_v: flo
 
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    if not a and not b:
-        return 0.0
-    union = len(a | b)
-    return len(a & b) / union
+    return len(a & b) / len(a | b)
 
 
 def _check_alpha(alpha: float) -> None:

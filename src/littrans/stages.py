@@ -276,13 +276,3 @@ def write_interlinear_file(docs: Iterable[InterlinearDocument], path: str | Path
     """Documents serialized in order, separated by one blank line."""
     blocks = [format_interlinear(d) for d in docs]
     Path(path).write_text("\n".join(blocks), encoding="utf-8")
-
-
-def read_interlinear_file(path: str | Path) -> list[InterlinearDocument]:
-    content = Path(path).read_text(encoding="utf-8")
-    docs = []
-    for block in content.split("\n\n"):
-        if not block.strip():
-            continue
-        docs.append(parse_interlinear(block, doc_id=f"doc{len(docs):04d}"))
-    return docs

@@ -77,9 +77,10 @@ def test_prepare_stage1_matches_golden(toy_config_path, tmp_path, data_dir, caps
 
 def test_prepare_stage2_round_trips(toy_config_path, tmp_path):
     assert run(["prepare", "2", "--config", toy_config_path, "--out", str(tmp_path)]) == 0
-    from littrans.stages import read_interlinear_file
+    from littrans.stages import parse_interlinear
 
-    docs = read_interlinear_file(tmp_path / "stage2_interlinear.txt")
+    text = (tmp_path / "stage2_interlinear.txt").read_text(encoding="utf-8")
+    docs = [parse_interlinear(block) for block in text.split("\n\n")]
     assert sum(len(d.pairs) for d in docs) == 10
     assert len(docs) == 6  # hand-run packing at budget 35
 

@@ -533,6 +533,67 @@ def zipf_sentences(n, seed):
     return sentences
 
 
+ZIPF_POOL = [(s, "t", f"d{i // 100}", i % 100) for i, s in enumerate(zipf_sentences(300, seed=7))]
+
+
+def documented_grown_bounds(index, q):
+    """A grown index's bounds at alpha 1 as _bounds documents them, from
+    norm sums recomputed with df counted from the pool's sources: the shared
+    terms' dot product over ‖q‖ and the norm, whose square is
+    A² S0 - 2A S1 + S2 less _NORM_SLACK (A² S0 + 2A S1 + S2), never below S0."""
+    n, doc_freq = index.total_docs, source_doc_freq(index)
+    q_weights, q_norm, _keywords = q
+    a = math.log(1 + n) + 1.0
+    bounds = []
+    for ex in index.exemplars:
+        counts = ex.term_counts
+        logs = {t: math.log(1 + doc_freq[t]) for t in counts}
+        dot = math.fsum(
+            q_weights[t] * c * retrieval._idf(n, doc_freq[t]) for t, c in counts.items() if t in q_weights
+        )
+        s0 = sum(c * c for c in counts.values())
+        a0 = a * a * s0
+        a1 = 2.0 * a * math.fsum(c * c * logs[t] for t, c in counts.items())
+        a2 = math.fsum(c * c * logs[t] ** 2 for t, c in counts.items())
+        squared = max(a0 - a1 + a2 - retrieval._NORM_SLACK * (a0 + a1 + a2), s0)
+        bounds.append(dot / (q_norm * math.sqrt(squared)))
+    return bounds
+
+
+# every term in every exemplar: each idf is 1, so the slack would take the
+# squared norm below S0 but for the floor
+SAME_TERMS_POOL = [(source, "t", "d", i) for i, source in enumerate(["a b", "b a", "a a b"])]
+
+
+@pytest.mark.parametrize(
+    "pool", [TOY_POOL, SAME_TERMS_POOL, ZIPF_POOL], ids=["toy", "same-terms", "zipf300"]
+)
+def test_both_kinds_share_one_layout_and_one_bound_pass(pool):
+    # the same positions on both kinds; a grown index's values are counts,
+    # and weighing them and dividing by the norms from the sums gives the
+    # bounds a built index sums from its normalized weights. The slack and
+    # the S0 floor move a grown bound by about 1e-9 of itself, inside the
+    # covering tests' tolerance, so at alpha 1 each is pinned here.
+    grown, built = grown_index(pool), build_index(pool)
+    assert grown._postings == built._postings
+    for t, positions in grown._postings.items():
+        assert grown._values[t] == [grown.exemplars[p].term_counts[t] for p in positions], t
+    sources = [source for source, *_rest in pool]
+    for query in random.Random(7).sample(sources, min(20, len(sources))) + ["a g"]:
+        q = grown._weigh(Counter(terms(query)))
+        assert q == built._weigh(Counter(terms(query)))
+        for alpha in (0.0, 0.5, 1.0):
+            got, want = grown._bounds(q, alpha), built._bounds(q, alpha)
+            assert [g == 0.0 for g in got] == [w == 0.0 for w in want], (query, alpha)
+            for position, (g, w) in enumerate(zip(got, want, strict=True)):
+                assert math.isclose(g, w, rel_tol=0.0, abs_tol=1e-6), (query, alpha, position)
+            assert_bounds_cover_exact_scores(grown, query, alpha)
+            assert_bounds_cover_exact_scores(built, query, alpha, cosine_slack=1e-9)
+        documented = documented_grown_bounds(grown, q)
+        for position, bound in enumerate(grown._bounds(q, 1.0)):
+            assert math.isclose(bound, documented[position], rel_tol=1e-11), (query, position)
+
+
 # a full scan scores every prefix exemplar, a share of 1.0 of the summed
 # pool sizes; bounds with the exact norms leave 0.032 (1433 of 44850) on
 # this document, the idf >= 1 lower bound on the norms 0.158 (7068)

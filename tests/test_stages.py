@@ -19,7 +19,6 @@ from littrans.stages import (
     build_stage3_instructions,
     format_interlinear,
     parse_interlinear,
-    read_interlinear_file,
     write_interlinear_file,
 )
 from littrans.tokenization import count_tokens
@@ -257,7 +256,8 @@ def test_interlinear_file_round_trip(tmp_path):
     write_interlinear_file(docs, path)
     content = path.read_text(encoding="utf-8")
     assert content == "<src> a\n<tgt> b\n\n<src> c\n<tgt> d\n<src> e\n<tgt> f\n"
-    assert read_interlinear_file(path) == docs
+    blocks = content.split("\n\n")
+    assert [parse_interlinear(b, doc_id=d.doc_id) for b, d in zip(blocks, docs, strict=True)] == docs
 
 
 # --- stage 2 ---
