@@ -4,10 +4,10 @@
 Inside the function bodies of one module, each mutant makes one change:
 it swaps < and <=, > and >=, == and !=, + and -, * and /, or `and` and
 `or`, or adds 1 to a numeric constant. Each mutant is written into a
-private copy of src/ and tests/ and runs against the given test files
-with -x. A mutant the tests pass is a survivor: either a test gap or code
-that changes no output. The unmutated module, written the same way, must
-pass first.
+private copy of src/, tests/ and data/ and runs against the given test
+files with -x, JOBS mutants at once. A mutant the tests pass is a
+survivor: either a test gap or code that changes no output. The unmutated
+module, written the same way, must pass first.
 
     python scripts/mutants.py src/littrans/retrieval.py tests/test_retrieval.py
 
@@ -17,7 +17,6 @@ Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -28,6 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+JOBS = 2
+TIMEOUT_S = 300.0
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
@@ -78,53 +79,49 @@ def mutate(source: str, number: int) -> tuple[str, str]:
 
 
 def make_copy(root: Path) -> Path:
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "data"):
         shutil.copytree(REPO / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(REPO / "pyproject.toml", root)
     return root
 
 
-def passes(copy: Path, module: Path, text: str, tests: list[str], timeout: float) -> bool | None:
+def passes(copy: Path, module: Path, text: str, tests: list[str]) -> bool | None:
     """True if the tests pass on text, False if they fail, None on timeout."""
     (copy / module).write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        run = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
+        run = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None
     return run.returncode == 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("module", help="module to mutate, relative to the repository")
-    parser.add_argument("tests", nargs="+", help="test files to run, relative to the repository")
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once (default 2)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant run")
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    module = Path(args.module)
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) < 2:
+        print("usage: mutants.py MODULE TEST_FILE...", file=sys.stderr)
+        return 2
+    module, tests = Path(args[0]), args[1:]
     source = (REPO / module).read_text(encoding="utf-8")
     count = len(sites(ast.parse(source)))
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        copies = [make_copy(Path(tmp) / f"copy{j}") for j in range(args.jobs)]
+        copies = [make_copy(Path(tmp) / f"copy{j}") for j in range(JOBS)]
         unparsed = ast.unparse(ast.parse(source))
-        if not passes(copies[0], module, unparsed, args.tests, args.timeout):
+        if not passes(copies[0], module, unparsed, tests):
             print("the tests fail on the unmutated module", file=sys.stderr)
             return 1
 
         def run(job: int) -> list[tuple[int, str, bool | None]]:
             results = []
-            for number in range(job, count, args.jobs):
+            for number in range(job, count, JOBS):
                 text, label = mutate(source, number)
-                outcome = passes(copies[job], module, text, args.tests, args.timeout)
+                outcome = passes(copies[job], module, text, tests)
                 results.append((number, label, outcome))
             return results
 
-        with ThreadPoolExecutor(args.jobs) as pool:
-            results = sorted(r for job in pool.map(run, range(args.jobs)) for r in job)
+        with ThreadPoolExecutor(JOBS) as pool:
+            results = sorted(r for job in pool.map(run, range(JOBS)) for r in job)
     survivors = [label for _number, label, survived in results if survived]
     timeouts = [label for _number, label, survived in results if survived is None]
     for label in survivors:
