@@ -11,22 +11,26 @@ its postings list. The kinds differ only in those values and in one step
 of the bound pass. A grown index keeps each term's count c as its value:
 every append changes N and so every idf, and each idf is computed from N
 and df where it is read, so no table goes stale. A pool from build_index
-keeps the weight c·idf/‖e‖ under its final N instead.
+keeps the weight c·idf/‖e‖ under its final N instead, and also keyword
+postings: per term, the exemplars that hold it as a keyword.
 
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
 upper bound on its score (see ExemplarIndex._bounds); an exemplar that
-shares no term scores 0 and is never returned. The bound uses each
-exemplar's exact norm: a built index's values are already divided by it;
-on a grown one, which holds no vectors, the pass weighs the counts and
-divides by a norm computed, less a slack, from N and three norm sums that
-append keeps from the first exemplar. top_k then scores exemplars in
-descending bound with _score, the one scorer that similarity() also uses,
-reading each vector from a built index or weighing it then on a grown one,
-and stops when the next bound falls below the k-th best score so far by
-more than a rounding margin. Every exemplar that could still enter the top
-k, ties included, has been scored with the same floats as a full scan, so
-the ids are those a full scan returns.
+shares no term scores 0 and is never returned. On a built index the bound
+is the score up to rounding: its values are already divided by each
+exemplar's norm, and its keyword postings give the exact keyword overlap.
+On a grown one, which holds no vectors and whose keywords change with
+every append, the pass weighs the counts, divides by a norm computed, less
+a slack, from N and three norm sums that append keeps, and counts the
+query keywords among each exemplar's terms. top_k then scores exemplars
+in descending bound with _score, the one scorer that similarity() also
+uses, reading each vector from a built index or weighing it then on a
+grown one, and stops when the next bound falls below the k-th best score
+so far by more than a rounding margin. Every exemplar that could still
+enter the top k, ties included, has been scored with the same floats as a
+full scan, so the ids are those a full scan returns; on a built index,
+only those k and their ties are scored.
 
 No query writes an index, so concurrent queries are safe; only append
 does. A grown ExemplarIndex is what incremental decoding appends to, one
@@ -111,6 +115,10 @@ class ExemplarIndex:
         # term -> one value per posting: the count c on a grown index, the
         # weight c·idf/‖e‖ on a built one
         self._values: dict[str, list] = {}
+        # term -> positions of the exemplars that hold it as a keyword, built
+        # by build_index; a grown index's keywords change with every append,
+        # so there it is the term postings
+        self._keyword_postings: dict[str, list[int]] = self._postings
         self._keyword_sizes: list[int] = []  # per exemplar
         # per exemplar, the sums S0 = Σc², S1 = Σc² ln(1 + df) and
         # S2 = Σc² ln(1 + df)² over its terms, kept by append; None on a built index
@@ -132,16 +140,19 @@ class ExemplarIndex:
         self.exemplars.append(ex)
         moments = self._moments
         if moments is not None:
-            moments[0].append(sum(c * c for c in counts.values()))
-            moments[1].append(0.0)
-            moments[2].append(0.0)
+            s0, s1, s2 = moments
+            s0.append(sum(c * c for c in counts.values()))
+            s1.append(0.0)
+            s2.append(0.0)
         for t, c in counts.items():
             postings = self._postings.setdefault(t, [])
             if moments is not None:  # grown; build_index adds a built index's values
                 values = self._values.setdefault(t, [])
                 old, new = math.log(1 + len(postings)), math.log(2 + len(postings))  # df + 1
                 self._add_moments(postings, values, old, new)
-                self._add_moments((position,), (c,), 0.0, new)
+                cc = c * c
+                s1[position] += cc * new
+                s2[position] += cc * (new * new)
                 values.append(c)
             postings.append(position)
         self._keyword_sizes.append(min(self.keyword_count, len(counts)))
@@ -181,9 +192,12 @@ class ExemplarIndex:
         A² S0 - 2A S1 + S2. It takes off _NORM_SLACK (A² S0 + 2A S1 + S2)
         and never goes below S0, the squared norm if every idf were 1, so
         the bound differs from _score's cosine by rounding and that slack.
-        The keyword part reads only the query keywords' postings: the
-        exemplar's keywords can only be query keywords it contains, and it
-        has min(keyword_count, distinct terms) of them.
+        The keyword part adds (1 - alpha) j / (|Kq| + kc - j), with kc the
+        exemplar's keyword count and j the query keywords that list it in
+        _keyword_postings. A built index lists it under its own keywords, so
+        j is the exact overlap; a grown one under all of its terms, which
+        hold its keywords, so j can only be larger. Either way j <= kc =
+        min(keyword_count, distinct terms), as |Kq| <= keyword_count.
         """
         q_weights, q_norm, q_keywords = query
         n = len(self.exemplars)
@@ -210,11 +224,9 @@ class ExemplarIndex:
                     squared = a0 - a1 + a2 - _NORM_SLACK * (a0 + a1 + a2)
                     bounds[position] = bound / math.sqrt(squared if squared > s0 else s0)
         keyword_sizes, q_keyword_count = self._keyword_sizes, len(q_keywords)
-        found = Counter(p for t in q_keywords for p in postings.get(t, ()))
+        found = Counter(p for t in q_keywords for p in self._keyword_postings.get(t, ()))
         for position, j in found.items():
             kc = keyword_sizes[position]
-            if j > kc:
-                j = kc
             bounds[position] += (1.0 - alpha) * j / (q_keyword_count + kc - j)
         return bounds
 
@@ -229,7 +241,9 @@ def build_index(
     are the keyword_count terms of highest weight, extracted against the
     finished frequency table. It holds one vector per exemplar, weighed
     before it returns, in place of the norm sums, and takes no appends. Each
-    posting's value is its exemplar's weight c·idf/‖e‖.
+    posting's value is its exemplar's weight c·idf/‖e‖, and its keyword
+    postings list, per term, the exemplars that hold it as a keyword, so
+    its bounds are exact.
     """
     index = ExemplarIndex(keyword_count)
     index._moments = None  # a built index's values are normalized weights
@@ -240,6 +254,10 @@ def build_index(
         t: [vectors[p][0][t] / vectors[p][1] for p in positions]
         for t, positions in index._postings.items()
     }
+    index._keyword_postings = keyword_postings = {}
+    for position, (_weights, _length, keywords) in enumerate(vectors):
+        for t in keywords:
+            keyword_postings.setdefault(t, []).append(position)
     return index
 
 
