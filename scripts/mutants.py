@@ -11,7 +11,8 @@ module, written the same way, must pass first.
 
     python scripts/mutants.py src/littrans/retrieval.py tests/test_retrieval.py
 
-It takes minutes (each mutant is a pytest run), so CI does not run it.
+It takes minutes (each mutant is a pytest run), so CI runs it on
+metrics.py only.
 Standard library only.
 """
 

@@ -2,7 +2,9 @@
 
 The scorer follows the standard corpus-BLEU recipe: clipped n-gram counts
 accumulated over all segments, per-order precisions, exponential-floor
-smoothing for zero-match orders, brevity penalty, geometric mean.
+smoothing for zero-match orders, brevity penalty, geometric mean. Each
+segment side's n-grams of every order are counted in one table, and the
+hypothesis table is clipped against the reference table in one pass.
 
 The default tokenizer, intl-13a, is mteval-v14's international
 tokenization as sacrebleu's TokenizerV14International ports it. After
@@ -35,7 +37,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, groupby, pairwise, repeat
+from itertools import accumulate, chain, groupby, pairwise, repeat
 from operator import add, itemgetter
 from typing import Mapping, Sequence
 
@@ -119,10 +121,12 @@ def _pad_punctuation(classes: str) -> str:
 def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list[str]:
     """Tokenize one segment for scoring.
 
-    intl-13a: the rules in the module docstring. The padding rules run on
-    a string of class letters of the same length as the text, which is
-    then cut wherever the class string gained a space. character: one
-    token per non-space character.
+    intl-13a: the rules in the module docstring. The control pass runs
+    only on non-printable text: every Cc character is non-printable, so on
+    printable text it would change nothing. The padding rules run on a
+    string of class letters of the same length as the text, which is then
+    cut wherever the class string gained a space. character: one token per
+    non-space character.
     """
     if mode not in TOKENIZATION_MODES:
         raise ValueError(f"tokenization must be one of {TOKENIZATION_MODES}")
@@ -131,14 +135,20 @@ def tokenize(text: str, mode: str = "intl-13a", lowercase: bool = False) -> list
     text = text.rstrip()
     if mode == "character":
         return [c for c in text if not c.isspace()]
-    text = text.replace("-\n", "").translate(_CONTROLS)
+    text = text.replace("-\n", "")
+    if not text.isprintable():
+        text = text.translate(_CONTROLS)
     classes = _pad_punctuation(text.translate(_CLASSES)).replace("s", " s ")
     cuts = pairwise(accumulate(map(len, classes.split(" ")), initial=0))
     return " ".join(text[a:b] for a, b in cuts).split()
 
 
-def _ngrams(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(order)]))
+def _ngrams(tokens: Sequence[str], max_order: int) -> Counter:
+    """Every n-gram of orders 1 to max_order counted in one table, keyed by
+    its token tuple, so len(gram) is its order. The orders share max_order
+    slices of the tokens."""
+    tails = [tokens[i:] for i in range(max_order)]
+    return Counter(chain.from_iterable(zip(*tails[:order]) for order in range(1, max_order + 1)))
 
 
 def corpus_bleu(
@@ -163,18 +173,18 @@ def corpus_bleu(
     for hyp, ref in zip(hypotheses, references):
         hyp_tokens = tokenize(hyp, config.tokenization, config.lowercase)
         ref_tokens = tokenize(ref, config.tokenization, config.lowercase)
-        hyp_len += len(hyp_tokens)
+        n = len(hyp_tokens)
+        hyp_len += n
         ref_len += len(ref_tokens)
-        for order in range(1, config.max_order + 1):
-            if len(hyp_tokens) < order:
-                break
-            hyp_counts = _ngrams(hyp_tokens, order)
-            ref_counts = _ngrams(ref_tokens, order)
-            total[order - 1] += len(hyp_tokens) - order + 1
-            # clipped matches: min(hypothesis count, reference count) per n-gram
-            correct[order - 1] += sum(
-                map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0)))
-            )
+        # a hypothesis of n tokens has no gram longer than n to match
+        orders = min(n, config.max_order)
+        for order in range(orders):
+            total[order] += n - order
+        ref_counts = _ngrams(ref_tokens, orders)
+        # clipped matches: min(hypothesis count, reference count) per n-gram
+        for gram, count in _ngrams(hyp_tokens, orders).items():
+            ref_count = ref_counts.get(gram, 0)
+            correct[len(gram) - 1] += count if count < ref_count else ref_count
 
     precisions = [0.0] * config.max_order
     floor_scale = 1.0
@@ -245,7 +255,14 @@ def d_bleu(
     config: BleuConfig = BleuConfig(),
 ) -> BleuReport:
     """Document-segmented BLEU: each document's sentences joined with
-    single spaces form one segment."""
+    single spaces form one segment.
+
+    Each joined document is tokenized as one text. intl-13a's rules are not
+    local to a sentence: "..1" alone is [".", ".", "1"] but "a ..1" is
+    ["a", ".", ".1"], and "well-\\n" alone is ["well", "-"] but
+    "well-\\n x" is ["well", "x"]. So a document's tokens are not its
+    sentences' s-BLEU tokens concatenated, and cannot be reused from them.
+    """
     keys = _check_alignment(hypotheses, references)
     hyp_docs = []
     ref_docs = []

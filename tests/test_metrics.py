@@ -7,7 +7,7 @@ import sys
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from littrans import metrics
@@ -94,6 +94,9 @@ RULE_TEXT = st.lists(
         st.characters(whitelist_categories=("Nd", "Nl", "No")),
         st.characters(whitelist_categories=("Cc",)),
         st.sampled_from([" ", "\t", "\n", "\u3000", "\u2028", "-\n", "-"]),
+        # non-printable but not Cc (Zs, Cf, Cf, Zp, Co): text the control
+        # pass skips only when it holds no Cc character
+        st.sampled_from(["\u00a0", "\u200b", "\ufeff", "\u2029", "\ue000"]),
         st.characters(),
     ),
     max_size=24,
@@ -104,6 +107,13 @@ RULE_TEXT = st.lists(
 @given(RULE_TEXT, st.booleans())
 def test_tokenize_matches_per_character_oracle(text, lowercase):
     assert tokenize(text, lowercase=lowercase) == naive_tokenize_intl(text, lowercase)
+
+
+def test_tokenize_control_next_to_a_non_control_space():
+    # U+3000 alone would also make the text non-printable; the BEL beside it
+    # must still become a space, not stay inside the token "x\x07"
+    text = "x\x07\u3000y."
+    assert tokenize(text) == naive_tokenize_intl(text) == ["x", "y", "."]
 
 
 def _class_letter(category: str) -> str:
@@ -274,6 +284,29 @@ def test_unigram_bleu_matches_naive_oracle(pairs):
     assert (report.hyp_length, report.ref_length) == (hyp_len, ref_len)
 
 
+# segments over three words, so n-grams repeat within and across segments;
+# many are empty or shorter than the highest order
+ABC_SEGMENTS = st.lists(st.sampled_from("abc"), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(ABC_SEGMENTS, ABC_SEGMENTS), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=6),
+)
+@example([([], ["a"]), (["a", "b"], ["b", "a", "b"]), (["c"] * 7, ["c"] * 3)], 6)
+@example([(["a"], []), (["b", "b"], ["b"])], 3)
+def test_counts_equal_the_naive_oracle_exactly(pairs, max_order):
+    report = corpus_bleu(
+        [" ".join(h) for h, _ in pairs], [" ".join(r) for _, r in pairs], BleuConfig(max_order=max_order)
+    )
+    _score, precisions, _bp, hyp_len, ref_len = naive_bleu(
+        [h for h, _ in pairs], [r for _, r in pairs], max_order=max_order
+    )
+    assert list(report.precisions) == precisions
+    assert (report.hyp_length, report.ref_length) == (hyp_len, ref_len)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(SENTENCES, SENTENCES), min_size=2, max_size=6), st.randoms(use_true_random=False))
 def test_permutation_invariance(pairs, rng):
@@ -341,6 +374,18 @@ def test_alignment_gap_listed():
     assert err.value.missing_in_ref == [("a", 1)]
 
 
+@pytest.mark.parametrize("scorer", [s_bleu, d_bleu])
+@pytest.mark.parametrize("side", ["hypotheses", "references"])
+def test_a_gap_on_one_side_is_listed(scorer, side):
+    full = {("a", 0): "x", ("a", 1): "y", ("b", 0): "z"}
+    short = {k: v for k, v in full.items() if k != ("a", 1)}
+    hyp, ref = (short, full) if side == "hypotheses" else (full, short)
+    with pytest.raises(AlignmentError) as err:
+        scorer(hyp, ref)
+    missing = (err.value.missing_in_hyp, err.value.missing_in_ref)
+    assert missing == (([("a", 1)], []) if side == "hypotheses" else ([], [("a", 1)]))
+
+
 def test_d_bleu_perfect():
     hyp, ref = aligned({("d", 0): ("a b", "a b"), ("d", 1): ("c d", "c d")})
     report = d_bleu(hyp, ref)
@@ -360,6 +405,25 @@ def test_d_bleu_cross_boundary_bigram(bleu_fixture):
     assert list(d_report.precisions) == pytest.approx(frozen["d_bleu"]["precisions"])
     assert s_report.score == pytest.approx(frozen["s_bleu"]["score"], rel=1e-9)
     assert d_report.score != pytest.approx(s_report.score)
+
+
+@pytest.mark.parametrize(
+    "segments,length",
+    [
+        # "..1" alone is ". . 1": the first "." pads the second. After "a "
+        # the space pads the first, pairs do not overlap, and ".1" stays whole
+        (["a", "..1"], 3),
+        # "well-\n" alone ends in a stripped line feed and keeps its hyphen;
+        # joined, "-\n" is a hyphenated line break and is deleted
+        (["well-\n", "x"], 2),
+    ],
+)
+def test_d_bleu_tokenizes_the_joined_document(segments, length):
+    # s-BLEU's tokens concatenated would count one more
+    table = {("d", i): text for i, text in enumerate(segments)}
+    assert s_bleu(table, table).hyp_length == length + 1
+    report = d_bleu(table, table)
+    assert (report.hyp_length, report.ref_length) == (length, length)
 
 
 @settings(max_examples=120, deadline=None)
