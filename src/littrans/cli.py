@@ -3,7 +3,9 @@
 Every run is governed by one YAML config plus --set overrides, so a
 command line fully determines its outputs. Exit codes: 0 success,
 1 validation or config error, 2 partial translation failure,
-3 evaluation alignment error.
+3 evaluation alignment error. The commands raise on a rejected config or
+input (for example a monolingual corpus where a stage needs targets), and
+main alone turns that into one "error:" line and exit 1.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
         flagged = sum(1 for u in units if u.over_budget)
         print(f"stage 1: {len(units)} paragraph units ({flagged} over budget) -> {path}")
         return EXIT_OK
-
-    if not corpus.is_parallel:
-        print(f"stage {stage}: parallel corpus required", file=sys.stderr)
-        return EXIT_CONFIG
 
     if stage == "2":
         docs = stages_mod.build_stage2_documents(corpus, budget=config.stages.stage2_budget)
@@ -216,11 +214,7 @@ def cmd_evaluate(hyp_path: str, ref_path: str, config: RunConfig) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    try:
-        corpus = _load_corpus(config)
-    except corpus_mod.CorpusFormatError as exc:
-        print(f"invalid corpus: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    corpus = _load_corpus(config)
     print("corpus valid")
     print(
         f"{len(corpus.documents)} documents, {corpus.sentence_count} sentence pairs, "

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -141,7 +143,9 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
     """Assemble one Document from (line_number, record) pairs.
 
     Records missing seg_index get file order; chapters missing an id share
-    the single implicit chapter "".
+    the single implicit chapter "". Each run of consecutive pairs with one
+    chapter_id is a chapter; a chapter_id that starts a second run raises
+    CorpusFormatError.
     """
     with_seg = [r for r in records if r[1].get("seg_index") is not None]
     if with_seg and len(with_seg) != len(records):
@@ -175,21 +179,14 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
 
     chapters: list[Chapter] = []
     seen_chapters: set[str] = set()
-    current: list[SentencePair] = []
-    for pair in pairs:
-        if current and pair.chapter_id != current[-1].chapter_id:
-            chapters.append(Chapter(current[-1].chapter_id, tuple(current)))
-            current = []
-        if not current:
-            if pair.chapter_id in seen_chapters:
-                raise CorpusFormatError(
-                    f"document {doc_id!r}: chapter {pair.chapter_id!r} restarts "
-                    f"after other chapters (chapter order must follow seg_index)"
-                )
-            seen_chapters.add(pair.chapter_id)
-        current.append(pair)
-    if current:
-        chapters.append(Chapter(current[-1].chapter_id, tuple(current)))
+    for chapter_id, run in groupby(pairs, key=attrgetter("chapter_id")):
+        if chapter_id in seen_chapters:
+            raise CorpusFormatError(
+                f"document {doc_id!r}: chapter {chapter_id!r} restarts "
+                f"after other chapters (chapter order must follow seg_index)"
+            )
+        seen_chapters.add(chapter_id)
+        chapters.append(Chapter(chapter_id, tuple(run)))
     return Document(doc_id=doc_id, chapters=tuple(chapters))
 
 

@@ -270,7 +270,8 @@ def run_corpus(
 
     Documents are independent; output order is doc_id order regardless of
     scheduling. Aborted documents (fallback=abort) are skipped and listed
-    in the manifest; the rest complete.
+    in the manifest; the rest complete. Any other error is raised once the
+    documents before it are collected, and no document starts after it.
     """
     # imported here: the pool pulls in logging and traceback, and only
     # translate runs a corpus
@@ -285,25 +286,24 @@ def run_corpus(
     # document's future after the failed one's
     stop = threading.Event()
 
-    def work(doc: Document) -> DocumentTranslation:
+    def work(doc: Document) -> DocumentTranslation | None:
         if stop.is_set():
             raise CancelledError(doc.doc_id)
         try:
             return translate_document(doc, backend, index, config, sleep)
         except DocumentAborted:
-            raise
+            return None
         except Exception:
             stop.set()
             raise
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {pool.submit(work, doc): doc for doc in corpus.documents}
         try:
-            for future, doc in futures.items():
-                try:
-                    results.append(future.result())
-                except DocumentAborted:
+            for doc, result in zip(corpus.documents, pool.map(work, corpus.documents)):
+                if result is None:
                     aborted.append(doc.doc_id)
+                else:
+                    results.append(result)
         finally:
             stop.set()
 

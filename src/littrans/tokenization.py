@@ -34,12 +34,6 @@ _CJK = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
 _TOKEN = re.compile(f"[{_CJK}]|[^{_CJK}\\s]+")
 
 
-def segment_text(text: str) -> list[str]:
-    """Split text into tokens: one per CJK character, and each maximal run
-    of characters that are neither CJK nor whitespace."""
-    return _TOKEN.findall(text)
-
-
 def count_tokens(text: str) -> int:
     """Default token counter for packing budgets (injectable elsewhere)."""
     return len(_TOKEN.findall(text))

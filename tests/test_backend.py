@@ -5,6 +5,7 @@ import os
 import socket
 import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -230,6 +231,11 @@ def test_http_context_length_rejection_is_overlong(stub):
         (b'"context length"', "overlong_prompt"),
         (["x"], "protocol"),
         ({"error": None}, "protocol"),
+        (b"context length exceeded", "overlong_prompt"),  # not JSON at all
+        (b"{bad", "protocol"),
+        # an overflow needs "context" with "length" or "window"
+        ({"error": {"message": "invalid context"}}, "protocol"),
+        ({"error": {"message": "bad length"}}, "protocol"),
     ]
     for body, kind in cases:
         stub.enqueue(400, body)
@@ -344,6 +350,32 @@ def test_http_429_then_200_succeeds_via_decoder_retry(stub):
     assert len(stub.captured) == 2
 
 
+def test_http_rate_cap_spaces_request_starts_on_its_clock(stub, monkeypatch):
+    # a recording clock: time passes only in the limiter's sleeps, so each
+    # start is exactly one interval after the one before
+    now = [100.0]
+    starts = []
+    fake_time = types.SimpleNamespace(
+        monotonic=lambda: now[0], sleep=lambda s: now.__setitem__(0, now[0] + s)
+    )
+    monkeypatch.setattr("littrans.backend.time", fake_time)
+    post = HttpBackend._post
+
+    def recording_post(self, body):
+        starts.append(now[0])
+        return post(self, body)
+
+    monkeypatch.setattr(HttpBackend, "_post", recording_post)
+    backend = http_backend(stub, rate_limit_rps=4)
+    for _ in range(3):
+        stub.enqueue(200, completion("ok"))
+        backend.translate(spec())
+    now[0] += 1.0  # idle for longer than the interval: no wait
+    stub.enqueue(200, completion("ok"))
+    backend.translate(spec())
+    assert starts == [100.0, 100.25, 100.5, 101.5]
+
+
 def test_http_rate_cap_spaces_requests(stub):
     for _ in range(3):
         stub.enqueue(200, completion("ok"))
@@ -378,6 +410,12 @@ def test_http_request_bytes_and_headers(stub):
 def test_http_config_rejects_values_no_request_could_use(overrides, key):
     with pytest.raises(ValueError, match=key):
         HttpBackendConfig(**{"base_url": "http://127.0.0.1:1", "model": "m", **overrides})
+
+
+def test_http_config_accepts_one_max_token():
+    assert HttpBackendConfig(base_url="http://127.0.0.1:1", max_tokens=1).max_tokens == 1
+    with pytest.raises(ValueError, match="backend.max_tokens must be >= 1"):
+        HttpBackendConfig(base_url="http://127.0.0.1:1", max_tokens=0)
 
 
 def test_http_redirect_is_protocol_naming_location(stub):
@@ -480,6 +518,18 @@ def test_http_connection_the_server_closed_is_not_reused(stub):
     assert stub.server.accepted == 2
 
 
+def test_http_response_marked_connection_close_is_not_reused(stub):
+    # the stub keeps the connection open anyway, so only the header can
+    # tell the client not to send on it again
+    backend = http_backend(stub)
+    for text in ("a", "b"):
+        stub.enqueue(200, completion(text), {"Connection": "close"})
+        assert backend.translate(spec()) == text
+    assert stub.server.accepted == 2
+    backend.close()
+    assert stub.wait_closed(2)
+
+
 def test_http_reuses_a_connection_whose_descriptor_is_above_1023(stub):
     # select.select refuses any descriptor of 1024 or above
     resource = pytest.importorskip("resource")
@@ -553,6 +603,13 @@ def test_http_no_proxy_bypasses_the_proxy(stub, no_proxy_env):
     assert http_backend(stub).translate(spec()) == "ok"
     assert stub.captured[0]["path"] == "/v1/chat/completions"
     assert "Proxy-Authorization" not in stub.captured[0]["headers"]
+
+
+@pytest.mark.parametrize("proxy", ["https://127.0.0.1:1", "socks5://127.0.0.1:1", "http://"])
+def test_proxy_that_is_not_an_http_url_is_rejected(no_proxy_env, proxy):
+    no_proxy_env.setenv("https_proxy", proxy)
+    with pytest.raises(ValueError, match="https_proxy must be an http:// URL"):
+        HttpBackend(HttpBackendConfig(base_url="https://upstream.test", model="m"))
 
 
 def test_https_through_a_proxy_opens_a_tunnel(no_proxy_env):

@@ -105,6 +105,28 @@ def test_prepare_stage3_requires_parallel(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("stage, overrides, message", [
+    ("1", ["stages.stage1_side=target"], "stage 1 on the target side requires a fully parallel corpus"),
+    ("2", [], "stage 2 requires a fully parallel corpus"),
+    ("3", [], "pair a#0 has no target"),
+    ("3", ["decoding.exemplar_count=0"], "stage 3 requires a fully parallel corpus"),
+    ("baseline", [], "sentence instruction data requires a fully parallel corpus"),
+], ids=["1-target", "2", "3-self-pool", "3-no-exemplars", "baseline"])
+def test_prepare_on_a_monolingual_corpus_is_one_error_line(
+    tmp_path, stage, overrides, message, capsys
+):
+    # the stage builders own the rule; main alone turns it into exit 1
+    corpus = tmp_path / "mono.jsonl"
+    corpus.write_text('{"doc_id": "a", "source": "只有源文"}\n', encoding="utf-8")
+    config = tmp_path / "c.yaml"
+    config.write_text(f"corpus:\n  records: {corpus.name}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert run(["prepare", stage, "--config", str(config), "--out", str(out), *sets]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_prepare_stage2_empty_corpus(tmp_path):
     corpus = tmp_path / "empty.jsonl"
     corpus.write_text("", encoding="utf-8")
@@ -116,6 +138,23 @@ def test_prepare_stage2_empty_corpus(tmp_path):
 
 
 # --- translate ---
+
+def test_table_backend_translates_from_the_inline_table(tmp_path):
+    # a source missing from the table is a protocol error: it falls back
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(
+        '{"doc_id": "a", "source": "山风"}\n{"doc_id": "a", "source": "高原"}\n', encoding="utf-8"
+    )
+    config = tmp_path / "c.yaml"
+    config.write_text(
+        "corpus:\n  records: c.jsonl\nbackend:\n  kind: table\n  table:\n    山风: Wind.\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run(["translate", "--config", str(config), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in read_lines(out / "hypotheses.jsonl").splitlines()]
+    assert [(r["hypothesis"], r["failed"]) for r in rows] == [("Wind.", False), ("高原", True)]
+
 
 def test_translate_matches_golden(toy_config_path, tmp_path, data_dir):
     assert run(["translate", "--config", toy_config_path, "--out", str(tmp_path)]) == 0
@@ -419,7 +458,10 @@ def test_translate_abort_exit_code(toy_dir, tmp_path):
     ({"山风吹过高原。": []}, "山风吹过高原。"),
     ({"山风吹过高原。": [{"text": 5}]}, "山风吹过高原。"),
     ({"山风吹过高原。": [{"error": "bogus"}]}, "山风吹过高原。"),
-], ids=["root-list", "root-string", "value-int", "value-empty", "text-int", "error-unknown"])
+    ({"山风吹过高原。": ["text"]}, "each step needs 'text' or 'error'"),
+    ({"山风吹过高原。": [["text"]]}, "each step needs 'text' or 'error'"),
+], ids=["root-list", "root-string", "value-int", "value-empty", "text-int", "error-unknown",
+        "step-string", "step-list"])
 def test_malformed_backend_script_is_config_error(
     toy_dir, toy_config_path, tmp_path, script, named, capsys
 ):
@@ -708,6 +750,42 @@ def test_config_output_dir_is_relative_to_config_file(toy_dir, tmp_path, monkeyp
 
 # --- validate ---
 
+def test_line_aligned_corpus_runs_every_command(tmp_path, capsys):
+    (tmp_path / "src.txt").write_text("山风\n高原\n===\n夜\n", encoding="utf-8")
+    (tmp_path / "tgt.txt").write_text("wind\nplateau\n===\nnight\n", encoding="utf-8")
+    config = tmp_path / "c.yaml"
+    config.write_text(
+        "corpus:\n  source_file: src.txt\n  target_file: tgt.txt\n  boundary_marker: '==='\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    args = ["--config", str(config), "--out", str(out)]
+    assert run(["validate", *args]) == 0
+    assert "2 documents, 3 sentence pairs, parallel" in capsys.readouterr().out
+    assert run(["prepare", "2", *args]) == 0
+    assert read_lines(out / "stage2_interlinear.txt") == (
+        "<src> 山风\n<tgt> wind\n<src> 高原\n<tgt> plateau\n\n<src> 夜\n<tgt> night\n"
+    )
+    assert run(["translate", *args]) == 0
+    rows = [json.loads(line) for line in read_lines(out / "hypotheses.jsonl").splitlines()]
+    assert [(r["doc_id"], r["seg_index"], r["hypothesis"]) for r in rows] == [
+        ("doc0000", 0, "山风"), ("doc0000", 1, "高原"), ("doc0001", 0, "夜")
+    ]
+    # without target_file the same source file is a monolingual corpus
+    config.write_text("corpus:\n  source_file: src.txt\n  boundary_marker: '==='\n", encoding="utf-8")
+    assert run(["validate", *args]) == 0
+    assert "2 documents, 3 sentence pairs, monolingual" in capsys.readouterr().out
+
+
+def test_config_naming_no_corpus_is_config_error(tmp_path, capsys):
+    config = tmp_path / "c.yaml"
+    config.write_text("corpus:\n  name: nothing\n", encoding="utf-8")
+    assert run(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config names no corpus (corpus.records or corpus.source_file)\n"
+    )
+
+
 def test_validate_toy_corpus(toy_config_path, capsys):
     assert run(["validate", "--config", toy_config_path]) == 0
     out = capsys.readouterr().out
@@ -725,7 +803,9 @@ def test_validate_bad_corpus(tmp_path, capsys):
     config = tmp_path / "c.yaml"
     config.write_text("corpus:\n  records: bad.jsonl\n", encoding="utf-8")
     assert run(["validate", "--config", str(config)]) == 1
-    assert "duplicate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "duplicate" in err
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("line_break", ["\n", "\u2028"], ids=["newline", "line-separator"])
@@ -814,6 +894,18 @@ def test_template_with_a_format_spec_fails_at_config_load(toy_config_path, tmp_p
     err = capsys.readouterr().err
     assert "main template placeholder {source:d}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_evaluate_against_references_without_targets_is_config_error(
+    toy_config_path, translated, tmp_path, capsys
+):
+    refs = tmp_path / "mono.jsonl"
+    refs.write_text('{"doc_id": "a", "source": "只有源文"}\n', encoding="utf-8")
+    code = run(["evaluate", str(translated / "hypotheses.jsonl"), str(refs),
+                "--config", toy_config_path, "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: reference corpus has no targets\n"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_missing_file_is_config_error(toy_config_path, tmp_path, capsys):

@@ -141,6 +141,23 @@ def test_override_into_empty_section(tmp_path):
     assert load_config(empty, overrides=["decoding.history_size=2"]) == load_config(explicit)
 
 
+@pytest.mark.parametrize("text, overrides, message", [
+    ("", ["output_dir=o", "output_dir.x=1"], "--set output_dir.x: 'output_dir' is not a section"),
+    ("bogus:\n  x: 1\n", [], "unknown top-level config key 'bogus'"),
+    ("decoding: 3\n", [], "config section 'decoding' must be a mapping"),
+    ("- decoding\n", [], "config root must be a mapping"),
+    ("", ["decoding.history_size"], "--set expects KEY=VALUE, got 'decoding.history_size'"),
+    ("decoding:\n  templates:\n    bogus: t.txt\n", [], "unknown template part: .*bogus"),
+], ids=["set-through-a-value", "unknown-section", "section-not-a-mapping", "root-not-a-mapping",
+        "set-without-equals", "unknown-template-part"])
+def test_malformed_config_is_rejected_naming_its_fault(tmp_path, text, overrides, message):
+    (tmp_path / "t.txt").write_text("{source}", encoding="utf-8")
+    path = tmp_path / "c.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        load_config(path, overrides=overrides)
+
+
 def tree(root):
     return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 

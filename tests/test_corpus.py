@@ -153,6 +153,45 @@ def test_chapter_restart_is_error(tmp_path):
         load_records(path)
 
 
+def test_blank_lines_are_skipped_and_lines_keep_their_numbers(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '\n{"doc_id": "a", "source": "s0"}\n \t\n{"doc_id": "a", "source": "s1"}\n\n',
+        encoding="utf-8",
+    )
+    assert [p.source for p in load_records(path).documents[0].pairs()] == ["s0", "s1"]
+    path.write_text('\n{"doc_id": "a", "source": "s0"}\n \n{oops\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 4: invalid JSON"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("seg_index", [True, False, 0.0, "1"], ids=repr)
+def test_non_integer_seg_index_is_error(tmp_path, seg_index):
+    # a bool is not an integer here, so seg_index 0 and true do not load
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "a", "seg_index": 0, "source": "s0"},
+        {"doc_id": "a", "seg_index": seg_index, "source": "s1"},
+    ])
+    with pytest.raises(CorpusFormatError, match="line 2: seg_index must be an integer"):
+        load_records(path)
+
+
+def test_document_mixing_records_with_and_without_seg_index_is_error(tmp_path):
+    # the rule is per document: b, all in file order, loads beside a
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "b", "source": "b0"},
+        {"doc_id": "a", "seg_index": 0, "source": "s0"},
+        {"doc_id": "a", "source": "s1"},
+        {"doc_id": "a", "seg_index": 1, "source": "s2"},
+    ])
+    with pytest.raises(
+        CorpusFormatError, match="line 3: document 'a' mixes records with and without seg_index"
+    ):
+        load_records(path)
+
+
 @pytest.mark.parametrize("chapter_id", [0, False, [1], 1.5, {}], ids=repr)
 def test_non_string_chapter_id_is_error(tmp_path, chapter_id):
     # 0 and false are not the implicit chapter, and [1] is not chapter "[1]"
@@ -300,6 +339,15 @@ def test_line_aligned_unicode_line_separator_is_error(tmp_path, side):
     (tmp_path / "t.txt").write_text(target, encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=f"line 2: {side} text contains a line break"):
         load_line_aligned(tmp_path / "s.txt", tmp_path / "t.txt")
+
+
+def test_line_aligned_document_ids_count_from_zero(tmp_path):
+    # leading, repeated and trailing boundaries start no document
+    (tmp_path / "s.txt").write_text("\na\n\n\nb\nc\n\nd\n\n", encoding="utf-8")
+    corpus = load_line_aligned(tmp_path / "s.txt", None)
+    assert [(d.doc_id, [p.source for p in d.pairs()]) for d in corpus.documents] == [
+        ("doc0000", ["a"]), ("doc0001", ["b", "c"]), ("doc0002", ["d"])
+    ]
 
 
 def test_line_aligned_monolingual(tmp_path):

@@ -20,7 +20,7 @@ from littrans.decoder import (
     translate_document,
 )
 from littrans.prompts import ContextEntry, PromptTemplate, render
-from littrans.retrieval import Exemplar, build_index, similarity, top_k
+from littrans.retrieval import Exemplar, ExemplarIndex, build_index, similarity, top_k
 from util import (
     CapturingBackend,
     brute_force_scores,
@@ -285,6 +285,21 @@ def test_history_threads_into_prompts():
         ("alpha one", "A"),
         ("beta two", "B"),
     ]
+
+
+@pytest.mark.parametrize("exemplar_count, built", [(0, 0), (1, 1)])
+def test_own_prefix_index_only_when_exemplars_are_asked_for(monkeypatch, exemplar_count, built):
+    made = []
+
+    class RecordingIndex(ExemplarIndex):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("littrans.decoder.ExemplarIndex", RecordingIndex)
+    config = fast(exemplar_count=exemplar_count)
+    translate_document(doc_abc(), IdentityBackend(), config=config, sleep=no_sleep)
+    assert made == [(config.keyword_count,)] * built
 
 
 def test_self_history_exemplars_use_hypotheses_not_references():

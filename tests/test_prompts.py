@@ -85,6 +85,17 @@ def test_template_placeholders_are_bare_names(placeholder):
         PromptTemplate(main="{system}{context}{exemplars}" + placeholder)
 
 
+@pytest.mark.parametrize("main", ["{source", "{source}}", "}{source}"])
+def test_malformed_template_is_rejected(main):
+    with pytest.raises(TemplateError, match="^malformed template: "):
+        PromptTemplate(main=main)
+
+
+def test_positional_placeholder_is_rejected():
+    with pytest.raises(TemplateError, match=r"^positional placeholders like \{\} are not allowed"):
+        PromptTemplate(main="{source}{}")
+
+
 def test_entry_templates_require_tgt():
     with pytest.raises(TemplateError, match="tgt"):
         PromptTemplate(context_entry="{src} only")

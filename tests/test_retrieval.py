@@ -156,6 +156,11 @@ def test_top_k_zero_k(toy_index):
     assert top_k("a b", toy_index, 0) == []
 
 
+def test_top_k_negative_k_is_error(toy_index):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        top_k("a b", toy_index, -1)
+
+
 def test_top_k_exclude_everything(toy_index):
     assert top_k("a b", toy_index, 2, exclude=lambda d, s: True) == []
 

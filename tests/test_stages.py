@@ -21,7 +21,7 @@ from littrans.stages import (
     parse_interlinear,
     write_interlinear_file,
 )
-from littrans.tokenization import count_tokens
+from littrans.tokenization import cjk_ratio, count_tokens
 from util import (
     CapturingBackend,
     make_corpus,
@@ -92,6 +92,13 @@ def test_stage1_cjk_joiner_auto():
     units = build_stage1_paragraphs(corpus, budget=100)
     assert units[0].text == "山风吹过高原之上"
     assert units[0].token_count == count_tokens(units[0].text) == 8
+
+
+def test_stage1_chapter_exactly_half_cjk_joins_with_a_space():
+    # "predominantly CJK" means more than half of the non-space characters
+    corpus = make_corpus([make_document("a", ["山风", "a b"])])
+    assert cjk_ratio("山风" + "a b") == 0.5
+    assert build_stage1_paragraphs(corpus, budget=100)[0].text == "山风 a b"
 
 
 @settings(max_examples=80, deadline=None)
@@ -221,6 +228,12 @@ def test_parse_target_before_source():
 def test_parse_trailing_source():
     with pytest.raises(ValueError, match="trailing"):
         parse_interlinear("<src> a\n<tgt> b\n<src> c\n")
+
+
+def test_parse_blank_line_inside_a_document():
+    # a blank line separates documents in the file, never pairs in one
+    with pytest.raises(ValueError, match="line 3: blank line inside a document"):
+        parse_interlinear("<src> a\n<tgt> b\n\n<src> c\n<tgt> d\n")
 
 
 def test_parse_unknown_tag():

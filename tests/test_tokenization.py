@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from littrans.tokenization import (
     _CJK_RANGES,
+    _TOKEN,
     cjk_ratio,
     count_tokens,
-    segment_text,
     terms,
 )
 from util import naive_cjk_ratio, naive_segment_text
@@ -16,30 +16,36 @@ SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
 
 
 def test_whitespace_words():
-    assert segment_text("The road ahead") == ["The", "road", "ahead"]
+    assert terms("The road ahead") == ["the", "road", "ahead"]
+    assert count_tokens("The road ahead") == 3
 
 
 def test_cjk_chars_are_single_tokens():
-    assert segment_text("山风吹过") == ["山", "风", "吹", "过"]
+    assert terms("山风吹过") == ["山", "风", "吹", "过"]
+    assert count_tokens("山风吹过") == 4
 
 
 def test_cjk_punctuation_becomes_own_token():
     # only between CJK characters, whitespace and the ends of the text
-    assert segment_text("山风吹过高原。") == ["山", "风", "吹", "过", "高", "原", "。"]
+    assert terms("山风吹过高原。") == ["山", "风", "吹", "过", "高", "原", "。"]
+    assert count_tokens("山风吹过高原。") == 7
 
 
 def test_cjk_punctuation_joins_an_adjacent_non_cjk_run():
-    assert segment_text("他说。hello") == ["他", "说", "。hello"]
-    assert segment_text("“你好”，他说") == ["“", "你", "好", "”，", "他", "说"]
+    assert terms("他说。hello") == ["他", "说", "。hello"]
+    assert terms("“你好”，他说") == ["“", "你", "好", "”，", "他", "说"]
+    assert count_tokens("他说。hello") == 3
 
 
 def test_mixed_script():
-    assert segment_text("他说 hello 世界") == ["他", "说", "hello", "世", "界"]
+    assert terms("他说 hello 世界") == ["他", "说", "hello", "世", "界"]
+    assert count_tokens("他说 hello 世界") == 5
 
 
 def test_empty_and_whitespace():
-    assert segment_text("") == []
-    assert segment_text("   \t\n") == []
+    for text in ("", "   \t\n"):
+        assert terms(text) == []
+        assert count_tokens(text) == 0
 
 
 def test_count_tokens_matches_segments():
@@ -78,7 +84,8 @@ def test_classes_match_isspace_and_the_ranges_at_every_code_point():
         plane_cjk = cjk.intersection(chars)
         # each character between two letters: a CJK character stands alone,
         # whitespace splits, and any other character joins the letters' run
-        tokens = segment_text("a" + "a".join(chars) + "a")
+        # the raw split: terms would lowercase, and "İ" lowers to two characters
+        tokens = _TOKEN.findall("a" + "a".join(chars) + "a")
         assert set(chars).difference("".join(tokens)) == spaces
         assert {t for t in tokens if len(t) == 1} - {"a"} == plane_cjk
         assert cjk_ratio("".join(chars)) == len(plane_cjk) / (len(chars) - len(spaces))
@@ -105,7 +112,7 @@ mixed_text = st.text(
 @example("ΑΣーΑ")
 def test_tokenization_equals_the_per_character_loop(text):
     expected = naive_segment_text(text)
-    assert segment_text(text) == expected
+    assert _TOKEN.findall(text) == expected
     assert terms(text) == [t.lower() for t in expected]
     assert count_tokens(text) == len(expected)
     assert cjk_ratio(text) == naive_cjk_ratio(text)

@@ -104,7 +104,8 @@ def naive_is_cjk_char(ch: str) -> bool:
 
 
 def naive_segment_text(text: str) -> list[str]:
-    """tokenization.segment_text one character at a time."""
+    """The tokens of littrans.tokenization (``_TOKEN.findall``), one
+    character at a time."""
     tokens: list[str] = []
     word: list[str] = []
     for ch in text:
