@@ -12,7 +12,7 @@ module, written the same way, must pass first.
     python scripts/mutants.py src/littrans/retrieval.py tests/test_retrieval.py
 
 It takes minutes (each mutant is a pytest run), so CI runs it on
-metrics.py, corpus.py and tokenization.py only.
+metrics.py, corpus.py, tokenization.py, decoder.py and retrieval.py only.
 Standard library only.
 """
 

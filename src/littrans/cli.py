@@ -80,8 +80,9 @@ def _build_exemplar_index(config: RunConfig) -> ExemplarIndex | None:
 
 
 def cmd_prepare(stage: str, config: RunConfig) -> int:
+    # each stage makes --out only once its records are built, so a rejected
+    # corpus or pool leaves no directory behind
     corpus = _load_corpus(config)
-    out = _out_dir(config)
     if stage == "1":
         units = stages_mod.build_stage1_paragraphs(
             corpus,
@@ -89,7 +90,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
             budget=config.stages.stage1_budget,
             joiner=config.stages.stage1_joiner,
         )
-        path = out / "stage1_paragraphs.jsonl"
+        path = _out_dir(config) / "stage1_paragraphs.jsonl"
         corpus_mod.write_jsonl(path, map(vars, units))
         flagged = sum(1 for u in units if u.over_budget)
         print(f"stage 1: {len(units)} paragraph units ({flagged} over budget) -> {path}")
@@ -97,7 +98,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
 
     if stage == "2":
         docs = stages_mod.build_stage2_documents(corpus, budget=config.stages.stage2_budget)
-        path = out / "stage2_interlinear.txt"
+        path = _out_dir(config) / "stage2_interlinear.txt"
         stages_mod.write_interlinear_file(docs, path)
         pair_count = sum(len(d.pairs) for d in docs)
         print(f"stage 2: {len(docs)} interlinear documents ({pair_count} pairs) -> {path}")
@@ -107,7 +108,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
         if index is None and config.decoding.exemplar_count > 0:
             index = _index_corpus(corpus, config)
         records = stages_mod.build_stage3_instructions(corpus, config.decoding, index)
-        path = out / "stage3_instructions.jsonl"
+        path = _out_dir(config) / "stage3_instructions.jsonl"
         corpus_mod.write_jsonl(path, map(vars, records))
         print(f"stage 3: {len(records)} instruction records -> {path}")
         return EXIT_OK
@@ -116,7 +117,7 @@ def cmd_prepare(stage: str, config: RunConfig) -> int:
         if config.stages.sentence_instruction is not None:
             template = stages_mod.InstructionTemplate(config.stages.sentence_instruction)
         records = stages_mod.build_sentence_instructions(corpus, template)
-        path = out / "baseline_instructions.jsonl"
+        path = _out_dir(config) / "baseline_instructions.jsonl"
         corpus_mod.write_jsonl(path, map(vars, records))
         print(f"baseline: {len(records)} instruction records -> {path}")
         return EXIT_OK

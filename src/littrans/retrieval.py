@@ -12,7 +12,9 @@ of the bound pass. A grown index keeps each term's count c as its value:
 every append changes N and so every idf, and each idf is computed from N
 and df where it is read, so no table goes stale. A pool from build_index
 keeps the weight c·idf/‖e‖ under its final N instead, and also keyword
-postings: per term, the exemplars that hold it as a keyword.
+postings: per term, the exemplars that hold it as a keyword. It also maps
+each source to its vector, so a query that is a pool member, as in stage
+3's self-join of a corpus with itself, is not tokenized or weighed again.
 
 Search is exact without scoring every candidate. top_k walks the postings
 of the query's terms and gets, for each exemplar that shares a term, an
@@ -124,6 +126,9 @@ class ExemplarIndex:
         # S2 = Σc² ln(1 + df)² over its terms, kept by append; None on a built index
         self._moments: tuple[list[int], list[float], list[float]] | None = ([], [], [])
         self._vectors: list[_Vector] | None = None  # one per exemplar, held only if built
+        # source -> its vector, filled by build_index; a grown index's N
+        # changes with every append, so it keeps none
+        self._source_vectors: dict[str, _Vector] = {}
 
     @property
     def total_docs(self) -> int:
@@ -243,13 +248,19 @@ def build_index(
     before it returns, in place of the norm sums, and takes no appends. Each
     posting's value is its exemplar's weight c·idf/‖e‖, and its keyword
     postings list, per term, the exemplars that hold it as a keyword, so
-    its bounds are exact.
+    its bounds are exact. It also maps each source to its vector; equal
+    sources have equal counts and so equal vectors, weighed once, and top_k
+    reads a query that is a pool source from that map instead of weighing it.
     """
     index = ExemplarIndex(keyword_count)
     index._moments = None  # a built index's values are normalized weights
     for source, target, doc_id, seg_index in pool:
         index.append(source, target, doc_id, seg_index)
-    index._vectors = vectors = [index._weigh(ex.term_counts) for ex in index.exemplars]
+    by_source = index._source_vectors
+    for ex in index.exemplars:
+        if ex.source not in by_source:
+            by_source[ex.source] = index._weigh(ex.term_counts)
+    index._vectors = vectors = [by_source[ex.source] for ex in index.exemplars]
     index._values = {
         t: [vectors[p][0][t] / vectors[p][1] for p in positions]
         for t, positions in index._postings.items()
@@ -316,7 +327,7 @@ def top_k(
     if k == 0:
         return []
     _check_alpha(alpha)
-    q = index._weigh(Counter(terms(query)))
+    q = index._source_vectors.get(query) or index._weigh(Counter(terms(query)))
     bounds = index._bounds(q, alpha)
     vectors = index._vectors
     kth: list[float] = []  # min-heap of the k best exact scores so far

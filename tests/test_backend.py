@@ -208,6 +208,15 @@ def test_http_5xx_is_network(stub):
     assert err.value.retryable
 
 
+def test_http_500_is_network(stub):
+    # the lowest 5xx status, not a 4xx protocol error
+    stub.enqueue(500, b"internal error")
+    with pytest.raises(BackendError) as err:
+        http_backend(stub).translate(spec())
+    assert (err.value.kind, err.value.detail) == ("network", "HTTP 500")
+    assert err.value.retryable
+
+
 def test_http_malformed_body_is_protocol(stub):
     stub.enqueue(200, b"this is not json")
     with pytest.raises(BackendError) as err:

@@ -111,7 +111,8 @@ def test_prepare_stage3_requires_parallel(tmp_path):
     ("3", [], "pair a#0 has no target"),
     ("3", ["decoding.exemplar_count=0"], "stage 3 requires a fully parallel corpus"),
     ("baseline", [], "sentence instruction data requires a fully parallel corpus"),
-], ids=["1-target", "2", "3-self-pool", "3-no-exemplars", "baseline"])
+    ("3", ["retrieval.external_pool=mono.jsonl"], "retrieval.external_pool must be a parallel record file"),
+], ids=["1-target", "2", "3-self-pool", "3-no-exemplars", "baseline", "3-external-pool"])
 def test_prepare_on_a_monolingual_corpus_is_one_error_line(
     tmp_path, stage, overrides, message, capsys
 ):
@@ -124,7 +125,7 @@ def test_prepare_on_a_monolingual_corpus_is_one_error_line(
     sets = [arg for override in overrides for arg in ("--set", override)]
     assert run(["prepare", stage, "--config", str(config), "--out", str(out), *sets]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_prepare_stage2_empty_corpus(tmp_path):
@@ -262,6 +263,7 @@ def test_monolingual_external_pool_is_config_error(
                 "--set", f"decoding.exemplar_count={exemplar_count}"])
     assert code == 1
     assert "retrieval.external_pool must be a parallel record file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

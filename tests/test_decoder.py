@@ -16,6 +16,7 @@ from littrans.decoder import (
     DocumentAborted,
     build_prompt,
     clean_hypothesis,
+    exclude_at_or_after,
     run_corpus,
     translate_document,
 )
@@ -90,6 +91,17 @@ def test_prompt_rejects_future_exemplar():
         build_prompt("d", done_until(2), "s", [hit("d", 2)], fast())
     spec = build_prompt("d", done_until(2), "s", [hit("e", 9)], fast())
     assert spec.exemplar_block == (ContextEntry(9, "s", "t"),)
+
+
+def test_the_no_future_rule_starts_at_the_cursor_in_its_own_document():
+    # the cursor is d#5: d#5 is rejected, d#4 just before it and e#5,
+    # another document's sentence at the same seg_index, are kept
+    exclude = exclude_at_or_after("d", 5)
+    assert exclude("d", 5) and exclude("d", 6)
+    assert not exclude("d", 4) and not exclude("e", 5)
+    index = build_index([("a b", "t", "d", 4), ("a b", "t", "d", 5), ("a b", "t", "e", 5)])
+    hits = top_k("a b", index, 3, exclude=exclude)
+    assert [e.exemplar_id for e in hits] == ["d:4", "e:5"]
 
 
 # --- hypothesis cleanup ---

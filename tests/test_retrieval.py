@@ -356,6 +356,60 @@ def test_stage3_splits_each_pair_at_most_twice(monkeypatch):
     assert len(calls) <= 2 * 60
 
 
+# --- a built pool's own sources: queried with the vectors it holds ---
+
+# 30 tie-prone sentences, then 10 of them again, over three documents, so
+# some sources recur within a document and across documents
+_rng = random.Random(5)
+_SOURCES = [random_words(_rng, list("abcdef"), 1, 6) for _ in range(30)]
+DUPLICATES_POOL = [
+    (source, "t", f"d{i % 3}", i // 3) for i, source in enumerate(_SOURCES + _SOURCES[::3])
+]
+
+
+@pytest.mark.parametrize("keyword_count", [1, 5])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_member_queries_equal_full_scan_on_a_pool_with_duplicates(k, alpha, keyword_count):
+    assert len({source for source, *_rest in DUPLICATES_POOL}) < len(DUPLICATES_POOL)
+    index = build_index(DUPLICATES_POOL, keyword_count)
+    for source, _target, doc_id, seg_index in DUPLICATES_POOL:
+        for exclude in (None, exclude_at_or_after(doc_id, seg_index)):
+            assert ids(top_k(source, index, k, exclude=exclude, alpha=alpha)) == ids(
+                full_scan_top_k(source, index, k, exclude=exclude, alpha=alpha)
+            ), (doc_id, seg_index, exclude)
+
+
+def test_a_built_pool_weighs_each_distinct_source_once():
+    index = build_index(DUPLICATES_POOL)
+    assert index._source_vectors.keys() == {source for source, *_rest in DUPLICATES_POOL}
+    for position, (source, *_rest) in enumerate(DUPLICATES_POOL):
+        assert index._vectors[position] is index._source_vectors[source]
+
+
+def test_only_a_non_member_query_on_a_built_pool_is_tokenized(monkeypatch):
+    index = build_index(DUPLICATES_POOL)
+    calls = count_term_splits(monkeypatch)
+    for source, *_rest in DUPLICATES_POOL:
+        top_k(source, index, 2)
+    assert calls == []
+    non_members = ["a b g", "f e d c b a f"]  # a term outside the pool; pool terms only
+    assert not set(non_members) & set(_SOURCES)
+    for query in non_members:
+        top_k(query, index, 2)
+    assert calls == non_members
+
+
+def test_every_query_on_a_grown_index_is_tokenized(monkeypatch):
+    # every append changes N and so every vector: nothing can be reused
+    index = grown_index(DUPLICATES_POOL)
+    calls = count_term_splits(monkeypatch)
+    queries = [source for source, *_rest in DUPLICATES_POOL] + ["a b g"]
+    for query in queries:
+        top_k(query, index, 2)
+    assert calls == queries
+
+
 # --- bound-and-rescore: the same ids as a full scan, fewer exemplars scored ---
 
 # six terms and short sentences, so equal scores are common
