@@ -70,7 +70,6 @@ class LoaderSettings:
     """Keys read only by the loader (prompt template) or the CLI."""
 
     parallelism: int = 1
-    system_text: str | None = None
     templates: dict[str, str] = field(default_factory=dict)
     external_pool: str | None = None
     kind: Literal["identity", "table", "scripted", "http"] = "identity"
@@ -114,7 +113,7 @@ _SCHEMA = {
     "stages": _fields(StageSettings),
     "retrieval": _fields(DecodingConfig, "similarity_alpha keyword_count")
     | _fields(LoaderSettings, "external_pool"),
-    "decoding": _fields(LoaderSettings, "parallelism system_text templates")
+    "decoding": _fields(LoaderSettings, "parallelism templates")
     | _fields(DecodingConfig, "history_size exemplar_count", retry="max_attempts")
     | _fields(DecodingConfig, "fallback backoff_initial backoff_factor"),
     "backend": _fields(HttpBackendConfig) | _fields(LoaderSettings, "kind table script_file"),
@@ -232,8 +231,6 @@ def _prompt_template(config: RunConfig) -> PromptTemplate:
         if text.endswith("\n"):
             text = text[:-1]
         parts[part] = text
-    if config.loader.system_text is not None:
-        parts["system"] = config.loader.system_text
     try:
         return PromptTemplate(**parts)
     except TypeError as exc:

@@ -84,7 +84,6 @@ def _pack(items: Iterable[tuple[T, int, int]], budget: int) -> Iterator[tuple[li
     an item too big on its own forms its own group. No items give no
     groups."""
     group: list[T] = []
-    cost = 0
     for item, alone, added in items:
         if group and cost + added > budget:
             yield group, cost

@@ -1,10 +1,12 @@
 import base64
+import http.client
 import http.server
 import json
 import os
 import socket
 import sys
 import threading
+import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -427,6 +429,35 @@ def test_http_config_accepts_one_max_token():
         HttpBackendConfig(base_url="http://127.0.0.1:1", max_tokens=0)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"timeout": 86400},
+    {"rate_limit_rps": 0.5},
+    {"rate_limit_rps": 1.1574074074074073e-05},  # 1 / rps is exactly 86400.0
+    {"rate_limit_rps": 1.5 / 86400},
+    {"max_prompt_chars": 1},
+], ids=["timeout-86400", "rps-0.5", "rps-1/86400", "rps-1.5/86400", "max-prompt-chars-1"])
+def test_http_config_accepts_the_extreme_usable_values(overrides):
+    config = HttpBackendConfig(base_url="http://127.0.0.1:1", **overrides)
+    assert all(getattr(config, key) == value for key, value in overrides.items())
+
+
+def test_http_4xx_detail_is_cut_at_200_characters(stub):
+    body = "x" * 199 + "yz" + "w" * 99
+    stub.enqueue(400, body.encode())
+    with pytest.raises(BackendError) as err:
+        http_backend(stub).translate(spec())
+    assert (err.value.kind, err.value.detail) == ("protocol", f"HTTP 400: {'x' * 199}y")
+
+
+def test_http_300_with_a_completion_body_is_a_redirect(stub):
+    # the lowest 3xx status: its body is never read as a completion
+    stub.enqueue(300, completion("hello"), {"Location": "https://elsewhere.test/v1"})
+    with pytest.raises(BackendError) as err:
+        http_backend(stub).translate(spec())
+    assert err.value.kind == "protocol"
+    assert err.value.detail == "HTTP 300 redirect to 'https://elsewhere.test/v1', not followed"
+
+
 def test_http_redirect_is_protocol_naming_location(stub):
     stub.enqueue(307, b"", {"Location": "https://elsewhere.test/v1"})
     with pytest.raises(BackendError) as err:
@@ -502,6 +533,20 @@ def test_http_sequential_calls_share_one_connection(stub):
     for text in ("a", "b", "c"):
         stub.enqueue(200, completion(text))
         assert backend.translate(spec()) == text
+    assert stub.server.accepted == 1
+    backend.close()
+    assert stub.wait_closed(1)
+
+
+def test_http_reused_connection_is_taken_without_waiting(stub):
+    # an idle connection is checked for a close by the peer without blocking
+    backend = http_backend(stub)
+    stub.enqueue(200, completion("a"))
+    stub.enqueue(200, completion("b"))
+    assert backend.translate(spec()) == "a"
+    start = time.monotonic()
+    assert backend.translate(spec()) == "b"
+    assert time.monotonic() - start < 0.5
     assert stub.server.accepted == 1
     backend.close()
     assert stub.wait_closed(1)
@@ -612,6 +657,33 @@ def test_http_no_proxy_bypasses_the_proxy(stub, no_proxy_env):
     assert http_backend(stub).translate(spec()) == "ok"
     assert stub.captured[0]["path"] == "/v1/chat/completions"
     assert "Proxy-Authorization" not in stub.captured[0]["headers"]
+
+
+@pytest.mark.parametrize("base_url, proxy, address", [
+    ("http://upstream.test/api", None, ("upstream.test", 80)),
+    # left to http.client, the bare host "::1" would parse as host ":", port 1
+    ("http://[::1]/api", None, ("::1", 80)),
+    ("http://upstream.test/api", "http://proxy.test", ("proxy.test", 80)),
+], ids=["host", "ipv6-host", "proxy"])
+def test_http_connects_to_port_80_unless_the_url_names_a_port(
+    no_proxy_env, base_url, proxy, address
+):
+    class Refused(Exception):
+        pass
+
+    opened = []
+
+    def refuse(host, port, **kwargs):
+        opened.append((host, port))
+        raise Refused
+
+    if proxy is not None:
+        no_proxy_env.setenv("http_proxy", proxy)
+    backend = HttpBackend(HttpBackendConfig(base_url=base_url, model="m"))
+    no_proxy_env.setattr(http.client, "HTTPConnection", refuse)
+    with pytest.raises(Refused):
+        backend.translate(spec())
+    assert opened == [address]
 
 
 @pytest.mark.parametrize("proxy", ["https://127.0.0.1:1", "socks5://127.0.0.1:1", "http://"])

@@ -13,6 +13,7 @@ from littrans import cli
 from littrans import config as config_mod
 from littrans.cli import cmd_translate, main
 from littrans.config import ConfigError, RunConfig, load_config
+from littrans.prompts import DEFAULT_SYSTEM_SECTION
 
 
 @pytest.fixture()
@@ -65,6 +66,32 @@ def test_config_template_file_loaded(toy_config_path):
     assert template.main.endswith("English translation:")
 
 
+def test_system_template_file_sets_every_prompts_system_block(toy_config_path, tmp_path):
+    # one trailing newline is stripped, as from every template file
+    system = tmp_path / "system.txt"
+    system.write_text("Keep every name.\n\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["prepare", "3", "--config", toy_config_path, "--out", str(out),
+                "--set", f"decoding.templates.system={system}"]) == 0
+    records = [json.loads(l) for l in read_lines(out / "stage3_instructions.jsonl").splitlines()]
+    assert len(records) == 10
+    block = DEFAULT_SYSTEM_SECTION.format(system="Keep every name.\n")
+    after = ("Previous sentences", "Similarly phrased", "Source sentence:")
+    assert all(
+        r["instruction"].startswith(block) and r["instruction"][len(block):].startswith(after)
+        for r in records
+    )
+
+
+def test_override_value_may_hold_an_equals_sign(toy_config_path, tmp_path):
+    # only the first "=" parts the key from the value
+    assert run(["prepare", "baseline", "--config", toy_config_path, "--out", str(tmp_path),
+                "--set", "stages.sentence_instruction=Q={source} A="]) == 0
+    records = [json.loads(l) for l in read_lines(tmp_path / "baseline_instructions.jsonl").splitlines()]
+    assert len(records) == 10
+    assert all(r["instruction"] == f"Q={r['input']} A=" for r in records)
+
+
 # --- prepare ---
 
 def test_prepare_stage1_matches_golden(toy_config_path, tmp_path, data_dir, capsys):
@@ -73,6 +100,14 @@ def test_prepare_stage1_matches_golden(toy_config_path, tmp_path, data_dir, caps
     golden = read_lines(data_dir / "golden" / "stage1_paragraphs.jsonl")
     assert got == golden
     assert "6 paragraph units" in capsys.readouterr().out
+
+
+def test_budget_of_one_loads_and_flags_every_unit(toy_config_path, tmp_path, capsys):
+    # 1 is the least budget either stage accepts; every toy sentence is over it
+    assert run(["prepare", "1", "--config", toy_config_path, "--out", str(tmp_path),
+                "--set", "stages.stage1_budget=1"]) == 0
+    assert "stage 1: 10 paragraph units (10 over budget)" in capsys.readouterr().out
+    assert load_config(toy_config_path, overrides=["stages.stage2_budget=1"]).stages.stage2_budget == 1
 
 
 def test_prepare_stage2_round_trips(toy_config_path, tmp_path):
@@ -506,7 +541,6 @@ def test_translate_zero_retry_is_config_error(toy_config_path, tmp_path, fallbac
         "retrieval.keyword_count=2.5",
         "decoding.templates=x",
         "corpus.records=[1]",
-        "decoding.system_text=[1]",
         "output_dir=[1]",
         "decoding.retry=true",
         "backend.timeout=x",
@@ -519,6 +553,17 @@ def test_ill_typed_value_is_config_error(toy_config_path, tmp_path, override, ca
     assert code == 1
     err = capsys.readouterr().err
     assert override.split("=")[0] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("decoding.templates.main=1", "decoding.templates: expected dict[str, str], got {'main': 1}"),
+    ("backend.table.x=1", "backend.table: expected dict[str, str], got {'x': 1}"),
+], ids=["templates", "table"])
+def test_ill_typed_mapping_entry_is_config_error(toy_config_path, tmp_path, override, message, capsys):
+    out = tmp_path / "out"
+    assert run(["prepare", "1", "--config", toy_config_path, "--out", str(out), "--set", override]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -38,7 +38,6 @@ DEFAULTS = {
     "decoding.backoff_initial": 1.0,
     "decoding.backoff_factor": 2.0,
     "decoding.parallelism": 1,
-    "decoding.system_text": None,
     "decoding.templates": {},
     "backend.kind": "identity",
     "backend.base_url": "",
@@ -69,7 +68,7 @@ def empty_config(tmp_path):
 
 
 def test_accepted_keys_are_exactly_the_declared_ones():
-    assert len(DEFAULTS) == 42
+    assert len(DEFAULTS) == 41
     declared = {f"{section}.{key}" for section, keys in config_mod._SCHEMA.items() for key in keys}
     assert declared | {"output_dir"} == set(DEFAULTS)
 
@@ -120,6 +119,11 @@ def test_empty_config_defaults(empty_config):
         max_prompt_chars=None,
         template=PromptTemplate(),
     )
+
+
+def test_missing_config_file_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="^config file not found: "):
+        load_config(tmp_path / "no-such-config.yaml")
 
 
 def test_http_backend_requires_base_url(empty_config):
