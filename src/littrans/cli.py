@@ -174,12 +174,15 @@ def cmd_translate(config: RunConfig, dry_run: bool = False) -> int:
 
 def read_hypotheses(path: str | Path) -> dict[tuple[str, int], str]:
     """Map (doc_id, seg_index) to hypothesis text; a malformed or repeated
-    record raises CorpusFormatError naming its line."""
+    record raises CorpusFormatError naming its line. The keys of one
+    document share one doc_id string."""
     out: dict[tuple[str, int], str] = {}
     lines: dict[tuple[str, int], int] = {}
+    doc_ids: dict[str, str] = {}
     for line_no, rec in corpus_mod.read_jsonl(path, ("doc_id", "hypothesis")):
-        corpus_mod.claim_segment(lines, line_no, rec["doc_id"], rec.get("seg_index"))
-        out[(rec["doc_id"], rec["seg_index"])] = rec["hypothesis"]
+        doc_id = doc_ids.setdefault(rec["doc_id"], rec["doc_id"])
+        corpus_mod.claim_segment(lines, line_no, doc_id, rec.get("seg_index"))
+        out[(doc_id, rec["seg_index"])] = rec["hypothesis"]
     return out
 
 
@@ -193,6 +196,9 @@ def cmd_evaluate(hyp_path: str, ref_path: str, config: RunConfig) -> int:
         for d in ref_corpus.documents
         for p in d.pairs()
     }
+    # scoring reads only the two segment maps; dropping the corpus here frees
+    # its pair, chapter and document objects before s-BLEU tokenizes
+    del ref_corpus
     try:
         sentence = metrics_mod.s_bleu(hypotheses, references, config.metrics)
         document = metrics_mod.d_bleu(hypotheses, references, config.metrics)

@@ -18,6 +18,12 @@ the same for both loaders and for ``source`` and ``target``:
   U+2029) is rejected, so every text fits on one line of a
   line-oriented output (the stage 2 interlinear file);
 - targets are all or none: either every record has one or none does.
+
+While a loader groups records into documents it holds one row per
+record, the tuple ``(line, seg_index, chapter_id, source, target)``, not
+the parsed object, and it checks the texts only when it builds each
+document. A loaded corpus holds one ``chapter_id`` string per distinct
+chapter id of each document, shared by that chapter's pairs.
 """
 
 from __future__ import annotations
@@ -25,9 +31,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
+
+# one record while a loader groups it: (line, seg_index, chapter_id, source, target)
+Row = tuple[int, object, str, str, str | None]
 
 
 class CorpusFormatError(Exception):
@@ -139,43 +148,43 @@ def claim_segment(
         )
 
 
-def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
-    """Assemble one Document from (line_number, record) pairs.
+def _build_document(doc_id: str, rows: list[Row]) -> Document:
+    """Assemble one Document from its rows, which are in file order.
 
-    Records missing seg_index get file order; chapters missing an id share
+    Rows missing seg_index get file order; chapters missing an id share
     the single implicit chapter "". Each run of consecutive pairs with one
     chapter_id is a chapter; a chapter_id that starts a second run raises
-    CorpusFormatError.
+    CorpusFormatError. The texts are checked here, so a row holds them as
+    read, and the document's pairs share one string per chapter_id.
     """
-    with_seg = [r for r in records if r[1].get("seg_index") is not None]
-    if with_seg and len(with_seg) != len(records):
-        line = next(ln for ln, r in records if r.get("seg_index") is None)
+    with_seg = sum(seg_index is not None for _, seg_index, *_ in rows)
+    if with_seg and with_seg != len(rows):
+        line = next(line for line, seg_index, *_ in rows if seg_index is None)
         raise CorpusFormatError(
             f"line {line}: document {doc_id!r} mixes records with and without seg_index"
         )
     if with_seg:
         seen: dict[tuple[str, int], int] = {}
-        for line, rec in records:
-            claim_segment(seen, line, doc_id, rec["seg_index"])
-        records = sorted(records, key=lambda r: r[1]["seg_index"])
-        indexes = [rec["seg_index"] for _, rec in records]
+        for line, seg_index, *_ in rows:
+            claim_segment(seen, line, doc_id, seg_index)
+        rows = sorted(rows, key=itemgetter(1))
+        indexes = [seg_index for _, seg_index, *_ in rows]
         if indexes != list(range(len(indexes))):
             raise CorpusFormatError(
                 f"document {doc_id!r}: seg_index not contiguous from 0 (got {indexes})"
             )
 
-    pairs = []
-    for seg, (line, rec) in enumerate(records):
-        target = rec.get("target")
-        pairs.append(
-            SentencePair(
-                doc_id=doc_id,
-                chapter_id=rec.get("chapter_id") or "",
-                seg_index=seg,
-                source=_text(line, "source", rec["source"]),
-                target=None if target is None else _text(line, "target", target),
-            )
+    chapter_ids: dict[str, str] = {}
+    pairs = [
+        SentencePair(
+            doc_id=doc_id,
+            chapter_id=chapter_ids.setdefault(chapter_id, chapter_id),
+            seg_index=seg,
+            source=_text(line, "source", source),
+            target=None if target is None else _text(line, "target", target),
         )
+        for seg, (line, _, chapter_id, source, target) in enumerate(rows)
+    ]
 
     chapters: list[Chapter] = []
     seen_chapters: set[str] = set()
@@ -190,21 +199,24 @@ def _build_document(doc_id: str, records: list[tuple[int, dict]]) -> Document:
     return Document(doc_id=doc_id, chapters=tuple(chapters))
 
 
-def _finish_corpus(docs: dict[str, list[tuple[int, dict]]]) -> Corpus:
-    has_target = {
-        line: rec.get("target") is not None for recs in docs.values() for line, rec in recs
-    }
-    if has_target:
-        first = min(has_target)
-        mixed = [line for line, has in has_target.items() if has != has_target[first]]
-        if mixed:
+def _finish_corpus(docs: dict[str, list[Row]]) -> Corpus:
+    """The Corpus of the grouped rows, built in doc_id order. Each
+    document's rows are dropped once it is built."""
+    if docs:
+        # lines are unique, so the least row is the file's first record
+        first, *_, first_target = min(rows[0] for rows in docs.values())
+        has_target = first_target is not None
+        mixed = min(
+            (line for rows in docs.values() for line, *_, target in rows
+             if (target is not None) != has_target),
+            default=None,
+        )
+        if mixed is not None:
             raise CorpusFormatError(
-                f"line {min(mixed)}: corpus mixes pairs with and without targets "
-                f"(line {first} {'has a' if has_target[first] else 'has no'} target)"
+                f"line {mixed}: corpus mixes pairs with and without targets "
+                f"(line {first} {'has a' if has_target else 'has no'} target)"
             )
-    documents = tuple(
-        _build_document(doc_id, docs[doc_id]) for doc_id in sorted(docs)
-    )
+    documents = tuple(_build_document(doc_id, docs.pop(doc_id)) for doc_id in sorted(docs))
     return Corpus(documents=documents)
 
 
@@ -214,12 +226,15 @@ def load_records(path: str | Path) -> Corpus:
     Documents are ordered by doc_id, so any on-disk permutation of records
     carrying seg_index loads to the same Corpus.
     """
-    docs: dict[str, list[tuple[int, dict]]] = {}
+    docs: dict[str, list[Row]] = {}
     for line_no, rec in read_jsonl(path, ("doc_id", "source")):
         for key in ("chapter_id", "target"):
             if rec.get(key) is not None and not isinstance(rec[key], str):
                 raise CorpusFormatError(f"line {line_no}: non-string {key!r}")
-        docs.setdefault(rec["doc_id"], []).append((line_no, rec))
+        docs.setdefault(rec["doc_id"], []).append((
+            line_no, rec.get("seg_index"), rec.get("chapter_id") or "",
+            rec["source"], rec.get("target"),
+        ))
     return _finish_corpus(docs)
 
 
@@ -250,7 +265,7 @@ def load_line_aligned(
                 f"{len(tgt_lines)} target lines"
             )
 
-    docs: dict[str, list[tuple[int, dict]]] = {}
+    docs: dict[str, list[Row]] = {}
     doc_no = 0
     started = False
     for i, src in enumerate(src_lines):
@@ -269,10 +284,8 @@ def load_line_aligned(
                 started = False
             continue
         started = True
-        rec: dict = {"source": src}
-        if tgt_lines is not None:
-            rec["target"] = tgt_lines[i]
-        docs.setdefault(f"doc{doc_no:04d}", []).append((i + 1, rec))
+        target = None if tgt_lines is None else tgt_lines[i]
+        docs.setdefault(f"doc{doc_no:04d}", []).append((i + 1, None, "", src, target))
     return _finish_corpus(docs)
 
 

@@ -45,15 +45,26 @@ SMOOTHING_MODES = ("none", "exp-floor")
 TOKENIZATION_MODES = ("intl-13a", "character")
 
 SegmentKey = tuple[str, int]  # (doc_id, seg_index)
+SHOWN_KEYS = 10  # missing keys an AlignmentError message names per side
+
+
+def _key_list(keys: list[SegmentKey]) -> str:
+    if len(keys) <= SHOWN_KEYS:
+        return str(keys)
+    return f"{keys[:SHOWN_KEYS]} ... ({len(keys)} keys)"
 
 
 class AlignmentError(Exception):
+    """Hypotheses and references name different segments. The message
+    names at most SHOWN_KEYS keys per side, then that side's count; the
+    attributes hold every missing key."""
+
     def __init__(self, missing_in_hyp: list[SegmentKey], missing_in_ref: list[SegmentKey]):
         parts = []
         if missing_in_hyp:
-            parts.append(f"missing in hypotheses: {missing_in_hyp}")
+            parts.append(f"missing in hypotheses: {_key_list(missing_in_hyp)}")
         if missing_in_ref:
-            parts.append(f"missing in references: {missing_in_ref}")
+            parts.append(f"missing in references: {_key_list(missing_in_ref)}")
         super().__init__("; ".join(parts))
         self.missing_in_hyp = missing_in_hyp
         self.missing_in_ref = missing_in_ref

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ import yaml
 
 from littrans import cli
 from littrans import config as config_mod
+from littrans import corpus as corpus_mod
+from littrans import metrics as metrics_mod
 from littrans.cli import cmd_translate, main
 from littrans.config import ConfigError, RunConfig, load_config
 from littrans.prompts import DEFAULT_SYSTEM_SECTION
@@ -769,6 +772,40 @@ def test_evaluate_malformed_hypothesis_is_config_error(
     assert re.search(f"line 2: .*{message}", err), err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("eval_*.json"))
+
+
+def test_read_hypotheses_keys_share_one_doc_id_per_document(tmp_path):
+    path = tmp_path / "hyps.jsonl"
+    path.write_text("".join(
+        json.dumps({"doc_id": doc_id, "seg_index": i, "hypothesis": "h"}) + "\n"
+        for doc_id in ("tower-a", "tower-b", "tower-a-2")
+        for i in range(3)
+    ), encoding="utf-8")
+    keys = cli.read_hypotheses(path)
+    assert len(keys) == 9
+    for doc_id in ("tower-a", "tower-b", "tower-a-2"):
+        assert len({id(d) for d, _ in keys if d == doc_id}) == 1
+
+
+def test_evaluate_frees_the_reference_corpus_before_scoring(
+    toy_config_path, toy_dir, translated, monkeypatch
+):
+    loaded = []
+    load_records, s_bleu = corpus_mod.load_records, metrics_mod.s_bleu
+
+    def load_and_watch(path):
+        corpus = load_records(path)
+        loaded.append(weakref.ref(corpus))
+        return corpus
+
+    def s_bleu_once_freed(*args):
+        assert [ref() for ref in loaded] == [None]
+        return s_bleu(*args)
+
+    monkeypatch.setattr(corpus_mod, "load_records", load_and_watch)
+    monkeypatch.setattr(metrics_mod, "s_bleu", s_bleu_once_freed)
+    assert run(["evaluate", str(translated / "hypotheses.jsonl"), str(toy_dir / "corpus.jsonl"),
+                "--config", toy_config_path, "--out", str(translated)]) == 0
 
 
 def test_config_output_dir_is_relative_to_config_file(toy_dir, tmp_path, monkeypatch):

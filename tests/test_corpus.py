@@ -1,5 +1,7 @@
+import gc
 import json
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,84 @@ def test_mixed_targets_names_first_line_that_differs_from_the_first_record(tmp_p
     ])
     with pytest.raises(CorpusFormatError, match=r"line 3: .*line 1 has no target"):
         load_records(path)
+
+
+def test_malformed_json_after_a_target_mix_is_the_error_reported(tmp_path):
+    # every line is parsed before the target rule runs
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "a", "source": "s0", "target": "t0"},
+        {"doc_id": "a", "source": "s1"},
+    ])
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("{oops\n")
+    with pytest.raises(CorpusFormatError, match=r"^line 3: invalid JSON"):
+        load_records(path)
+
+
+def test_target_mix_is_reported_before_a_text_error_on_an_earlier_line(tmp_path):
+    # texts are checked only when a document is built, after the target rule
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"doc_id": "a", "source": "   ", "target": "t0"},
+        {"doc_id": "b", "source": "s1"},
+    ])
+    with pytest.raises(CorpusFormatError, match=r"^line 2: corpus mixes pairs"):
+        load_records(path)
+
+
+def _load_chapters(tmp_path, loader):
+    chapters = [("chapter-one", ["s0", "s1", "s2"]), ("chapter-two", ["s3", "s4"])]
+    if loader == "records":
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [
+            {"doc_id": "novel", "chapter_id": chapter_id, "source": source, "target": "t"}
+            for chapter_id, sources in chapters
+            for source in sources
+        ])
+        return load_records(path)
+    sources = [source for _, sources in chapters for source in sources]
+    (tmp_path / "s.txt").write_text("".join(f"{s}\n" for s in sources), encoding="utf-8")
+    (tmp_path / "t.txt").write_text("t\n" * len(sources), encoding="utf-8")
+    return load_line_aligned(tmp_path / "s.txt", tmp_path / "t.txt")
+
+
+@pytest.mark.parametrize("loader", ["records", "line-aligned"])
+def test_pairs_of_one_chapter_share_one_chapter_id_string(tmp_path, loader):
+    (document,) = _load_chapters(tmp_path, loader).documents
+    assert [len(c.pairs) for c in document.chapters] == ([3, 2] if loader == "records" else [5])
+    assert len({id(p.doc_id) for p in document.pairs()}) == 1
+    for chapter in document.chapters:
+        assert {id(p.chapter_id) for p in chapter.pairs} == {id(chapter.chapter_id)}
+
+
+def test_load_records_peaks_near_what_it_keeps(tmp_path):
+    # a loader that kept each parsed record until the corpus was built
+    # peaked above twice what the corpus keeps
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, (
+        {
+            "doc_id": f"doc{n // 50:03d}",
+            "chapter_id": f"chapter-{n % 50 // 10}",
+            "seg_index": n % 50,
+            "source": f"源文第{n}句。" * 3,
+            "target": f"target sentence number {n}.",
+        }
+        for n in range(2000)
+    ))
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        corpus = load_records(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert corpus.sentence_count == 2000
+    assert peak - base <= 1.6 * (kept - base)
 
 
 def test_monolingual_flag(tmp_path):

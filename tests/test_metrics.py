@@ -386,6 +386,24 @@ def test_a_gap_on_one_side_is_listed(scorer, side):
     assert missing == (([("a", 1)], []) if side == "hypotheses" else ([], [("a", 1)]))
 
 
+def test_alignment_message_names_at_most_ten_keys_per_side():
+    # the message stays one readable line on a large gap; the attributes
+    # still hold every key
+    ref = {("d", i): "x" for i in range(25)}
+    hyp = {("e", i): "x" for i in range(10)}
+    with pytest.raises(AlignmentError) as err:
+        s_bleu(hyp, ref)
+    missing_in_hyp = [("d", i) for i in range(25)]
+    missing_in_ref = [("e", i) for i in range(10)]
+    assert err.value.missing_in_hyp == missing_in_hyp
+    assert err.value.missing_in_ref == missing_in_ref
+    assert str(err.value) == (
+        "missing in hypotheses: [('d', 0), ('d', 1), ('d', 2), ('d', 3), ('d', 4), "
+        "('d', 5), ('d', 6), ('d', 7), ('d', 8), ('d', 9)] ... (25 keys); "
+        f"missing in references: {missing_in_ref}"
+    )
+
+
 def test_d_bleu_perfect():
     hyp, ref = aligned({("d", 0): ("a b", "a b"), ("d", 1): ("c d", "c d")})
     report = d_bleu(hyp, ref)
